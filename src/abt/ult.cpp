@@ -4,7 +4,7 @@
 #include <exception>
 #include <thread>
 
-#include "abt/asan_fiber.hpp"
+#include "abt/fiber_sanitizer.hpp"
 #include "abt/pool.hpp"
 #include "abt/sched_context.hpp"
 #include "abt/wait_queue.hpp"
@@ -30,6 +30,7 @@ Ult::Ult(std::shared_ptr<Pool> pool, std::function<void()> fn, std::size_t stack
       fn_(std::move(fn)),
       stack_(new char[stack_size]),
       stack_size_(stack_size),
+      tsan_fiber_(detail::tsan_create_fiber()),
       id_(g_ult_ids.fetch_add(1, std::memory_order_relaxed)) {
     getcontext(&context_);
     context_.uc_stack.ss_sp = stack_.get();
@@ -38,7 +39,7 @@ Ult::Ult(std::shared_ptr<Pool> pool, std::function<void()> fn, std::size_t stack
     makecontext(&context_, reinterpret_cast<void (*)()>(&Ult::trampoline), 0);
 }
 
-Ult::~Ult() = default;
+Ult::~Ult() { detail::tsan_destroy_fiber(tsan_fiber_); }
 
 std::shared_ptr<Ult> Ult::create(const std::shared_ptr<Pool>& pool, std::function<void()> fn,
                                  std::size_t stack_size, std::uint8_t sched_class) {
@@ -62,6 +63,7 @@ void Ult::trampoline() {
     sc->post_action = detail::SchedContext::PostAction::kTerminate;
     // nullptr fake-stack slot: this ULT never runs again, drop its fake stack.
     detail::asan_start_switch(nullptr, sc->asan_sched_stack, sc->asan_sched_stack_size);
+    detail::tsan_switch_to(sc->tsan_sched_fiber);
     swapcontext(&self->context_, &sc->sched_ctx);
     // never reached
 }
@@ -122,6 +124,7 @@ void yield() {
     sc->post_action = detail::SchedContext::PostAction::kYield;
     detail::asan_start_switch(&cur->asan_fake_stack_, sc->asan_sched_stack,
                               sc->asan_sched_stack_size);
+    detail::tsan_switch_to(sc->tsan_sched_fiber);
     swapcontext(&cur->context_, &sc->sched_ctx);
     // Resumed, possibly on a different xstream: finish the switch there.
     auto* back = detail::tls_sched;
@@ -136,6 +139,7 @@ void suspend() {
     sc->post_action = detail::SchedContext::PostAction::kSuspend;
     detail::asan_start_switch(&cur->asan_fake_stack_, sc->asan_sched_stack,
                               sc->asan_sched_stack_size);
+    detail::tsan_switch_to(sc->tsan_sched_fiber);
     swapcontext(&cur->context_, &sc->sched_ctx);
     auto* back = detail::tls_sched;
     detail::asan_finish_switch(cur->asan_fake_stack_, &back->asan_sched_stack,
@@ -183,6 +187,7 @@ void block_on(WaitQueue& queue, std::unique_lock<std::mutex>& lock) {
         sc->post_action = SchedContext::PostAction::kSuspend;
         asan_start_switch(&cur->asan_fake_stack_, sc->asan_sched_stack,
                           sc->asan_sched_stack_size);
+        tsan_switch_to(sc->tsan_sched_fiber);
         swapcontext(&cur->context_, &sc->sched_ctx);
         auto* back = detail::tls_sched;
         asan_finish_switch(cur->asan_fake_stack_, &back->asan_sched_stack,

@@ -78,9 +78,10 @@ class Ult : public std::enable_shared_from_this<Ult> {
     std::unique_ptr<char[]> stack_;
     std::size_t stack_size_;
     ucontext_t context_{};
-    // ASan fiber bookkeeping: parks this ULT's fake stack across switches
-    // (see asan_fiber.hpp; unused without ASan).
+    // Sanitizer fiber bookkeeping (see fiber_sanitizer.hpp): ASan parks this
+    // ULT's fake stack across switches; TSan keeps the ULT's own context.
     void* asan_fake_stack_ = nullptr;
+    void* tsan_fiber_ = nullptr;
 
     std::atomic<UltState> state_{UltState::kReady};
     // Guards the Blocking->Blocked transition against a concurrent wake().

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "abt/asan_fiber.hpp"
+#include "abt/fiber_sanitizer.hpp"
 #include "abt/sched_context.hpp"
 #include "abt/ult.hpp"
 #include "abt/wait_queue.hpp"
@@ -30,6 +30,7 @@ void Xstream::join() {
 
 void Xstream::scheduler_loop() {
     detail::SchedContext sc;
+    sc.tsan_sched_fiber = detail::tsan_current_fiber();
     detail::sched_tls() = &sc;
 
     auto run_item = [&](WorkItem&& item) {
@@ -44,6 +45,7 @@ void Xstream::scheduler_loop() {
         sc.post_action = detail::SchedContext::PostAction::kNone;
         ult->state_.store(UltState::kRunning, std::memory_order_release);
         detail::asan_start_switch(&sc.asan_fake_stack, ult->stack_.get(), ult->stack_size_);
+        detail::tsan_switch_to(ult->tsan_fiber_);
         swapcontext(&sc.sched_ctx, &ult->context_);
         detail::asan_finish_switch(sc.asan_fake_stack, nullptr, nullptr);
         // Back on the scheduler stack: act on how the ULT left.

@@ -53,9 +53,9 @@ void Engine::enable_qos(std::shared_ptr<qos::AdmissionController> ctrl) {
         std::lock_guard<std::mutex> lock(qos_->mutex);
         qos_->ctrl = std::move(ctrl);
     }
-    // The dispatch-time gate runs on the endpoint's progress thread before
-    // any handler ULT exists; margo's dispatch wrapper (define_chain) does
-    // the ULT-side half of the accounting.
+    // The dispatch-time gate runs on the thread that delivers the request,
+    // before any handler ULT exists; margo's dispatch wrapper (define_chain)
+    // does the ULT-side half of the accounting.
     auto slot = qos_;
     endpoint_->set_admission([slot](const rpc::Message& msg) -> Status {
         auto ctrl = slot->get();
@@ -78,8 +78,8 @@ void Engine::define_chain(std::string_view name, rpc::ProviderId provider_id,
             // The payload chain's segments own their bytes (receive buffer /
             // sender's buffers), so they survive the ULT switch.
             auto owned = std::make_shared<rpc::RequestContext>(std::move(ctx));
-            // Read the controller here (progress thread), so the ULT sees the
-            // same controller the admission gate just charged this request to.
+            // Read the controller here (at dispatch), so the ULT sees the same
+            // controller the admission gate just charged this request to.
             auto ctrl = slot->get();
             const std::uint8_t sched_class =
                 qos::AdmissionController::normalize_class(owned->qos_class())
@@ -124,7 +124,10 @@ void Engine::define_chain(std::string_view name, rpc::ProviderId provider_id,
                     }
                 },
                 stack_size, sched_class);
-        });
+        },
+        // Lookup, admission and a ULT spawn never block: dispatch on the
+        // delivering thread instead of hopping through the progress thread.
+        rpc::HandlerKind::kDispatcher);
 }
 
 void Engine::define_with_context(std::string_view name, rpc::ProviderId provider_id,

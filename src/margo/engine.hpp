@@ -61,8 +61,8 @@ class Engine {
     std::shared_ptr<abt::Pool> create_pool(const std::string& name, std::size_t xstreams = 1);
 
     /// Arm admission control: every request dispatched by this engine passes
-    /// `ctrl->admit()` on the progress thread before its handler ULT is
-    /// created, and handler ULTs report queue-wait / execution time back.
+    /// `ctrl->admit()` on the thread that delivers it, before its handler ULT
+    /// is created, and handler ULTs report queue-wait / execution time back.
     /// Call before providers start serving traffic.
     void enable_qos(std::shared_ptr<qos::AdmissionController> ctrl);
     [[nodiscard]] std::shared_ptr<qos::AdmissionController> qos_controller() const {

@@ -3,8 +3,8 @@
 // One AdmissionController guards a service process's whole RPC surface. It
 // runs in two places on the request path:
 //
-//  1. At RPC dispatch (on the endpoint's progress thread, BEFORE a handler
-//     ULT is created): validate the QoS stamp, early-drop requests whose
+//  1. At RPC dispatch (on the thread that delivers the request, BEFORE a
+//     handler ULT is created): validate the QoS stamp, early-drop requests whose
 //     propagated deadline already expired in transit, debit the tenant's
 //     token bucket, and shed with Status::Overloaded (+ retry-after hint)
 //     when the service is past its shed threshold. Rejected requests never
@@ -122,7 +122,7 @@ class AdmissionController {
 
     [[nodiscard]] const AdmissionOptions& options() const noexcept { return opts_; }
 
-    /// Dispatch-time admission (progress thread; called once per request
+    /// Dispatch-time admission (delivering thread; called once per request
     /// BEFORE the handler ULT exists). OK = admitted (inflight incremented);
     /// otherwise the returned status is the error response: InvalidArgument
     /// (malformed stamp), DeadlineExceeded (expired on arrival) or

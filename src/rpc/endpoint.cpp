@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -21,6 +22,20 @@ namespace {
 std::uint64_t handler_key(RpcId rpc, ProviderId provider) noexcept {
     return (static_cast<std::uint64_t>(rpc) << 16) | provider;
 }
+
+// Counts one delivery under way, for Endpoint::shutdown() to wait out.
+class DeliveryScope {
+  public:
+    explicit DeliveryScope(std::atomic<std::uint32_t>& count) : count_(count) {
+        count_.fetch_add(1);
+    }
+    ~DeliveryScope() { count_.fetch_sub(1); }
+    DeliveryScope(const DeliveryScope&) = delete;
+    DeliveryScope& operator=(const DeliveryScope&) = delete;
+
+  private:
+    std::atomic<std::uint32_t>& count_;
+};
 }  // namespace
 
 // ----------------------------------------------------------- RequestContext
@@ -88,8 +103,16 @@ Endpoint::~Endpoint() { shutdown(); }
 void Endpoint::shutdown() {
     bool expected = false;
     if (!shut_down_.compare_exchange_strong(expected, true)) return;
-    stopped_.store(true, std::memory_order_release);
+    {
+        // Under queue_mutex_, so a request is either queued before the stop
+        // (and the progress thread drains it) or refused by enqueue().
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        stopped_.store(true);
+    }
     queue_cv_.notify_all();
+    // A delivery that saw the endpoint running may still be dispatching;
+    // none can start now (enqueue() counts itself before it reads stopped_).
+    while (deliveries_in_flight_.load() != 0) std::this_thread::yield();
     if (progress_thread_.joinable()) progress_thread_.join();
     fabric_.remove_endpoint(address_);
     // Fail any calls still in flight.
@@ -97,6 +120,7 @@ void Endpoint::shutdown() {
     {
         std::lock_guard<std::mutex> lock(pending_mutex_);
         pending.swap(pending_);
+        deadlines_.clear();
     }
     for (auto& [seq, call] : pending) {
         call.fail(Status::Cancelled("endpoint shut down with call in flight"));
@@ -104,40 +128,77 @@ void Endpoint::shutdown() {
 }
 
 void Endpoint::register_handler(std::string_view rpc_name, ProviderId provider,
-                                Handler handler) {
+                                Handler handler, HandlerKind kind) {
+    auto entry = std::make_shared<const HandlerEntry>(HandlerEntry{std::move(handler), kind});
     std::lock_guard<std::mutex> lock(handlers_mutex_);
-    handlers_[handler_key(rpc_id_of(rpc_name), provider)] = std::move(handler);
+    handlers_[handler_key(rpc_id_of(rpc_name), provider)] = std::move(entry);
 }
-
-void Endpoint::set_executor(Executor exec) { executor_ = std::move(exec); }
 
 void Endpoint::set_admission(AdmissionHook hook) { admission_ = std::move(hook); }
 
+Endpoint::HandlerPtr Endpoint::find_handler(const Message& msg) {
+    std::lock_guard<std::mutex> lock(handlers_mutex_);
+    auto it = handlers_.find(handler_key(msg.rpc, msg.provider));
+    if (it == handlers_.end()) {
+        // Wildcard fallback on provider 0.
+        it = handlers_.find(handler_key(msg.rpc, 0));
+    }
+    return it == handlers_.end() ? nullptr : it->second;
+}
+
 void Endpoint::enqueue(Message msg) {
     msg.arrival = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        queue_.push_back(std::move(msg));
+    // Counted before stopped_ is read: shutdown() sets stopped_ before it
+    // waits for the count, so every delivery either sees the stop or is
+    // waited for.
+    DeliveryScope in_flight(deliveries_in_flight_);
+
+    if (msg.type != MessageType::kRequest) {
+        // A response to a stopped endpoint is dropped: shutdown() fails the
+        // call with Cancelled.
+        if (!stopped_.load()) complete_response(std::move(msg));
+        return;
     }
-    queue_cv_.notify_one();
+    HandlerPtr handler;
+    if (!stopped_.load()) {
+        handler = find_handler(msg);
+        if (!handler) {
+            RequestContext ctx(*this, std::move(msg));
+            ctx.respond_error(Status::Unimplemented("no handler for rpc on " + address_));
+            return;
+        }
+        if (handler->kind == HandlerKind::kDispatcher) {
+            dispatch_request(std::move(msg), *handler);
+            return;
+        }
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        if (!stopped_.load()) {
+            queue_.push_back(Queued{std::move(msg), std::move(handler)});
+            lock.unlock();
+            queue_cv_.notify_one();
+            return;
+        }
+    }
+    RequestContext ctx(*this, std::move(msg));
+    ctx.respond_error(Status::Unavailable("endpoint " + address_ + " is shut down"));
 }
 
 void Endpoint::progress_loop() {
     while (true) {
         // Deadline expiry rides the progress loop: between messages we sleep
         // only until the nearest armed deadline (Mercury's trigger/timeout).
-        const auto nearest = expire_deadlines();
-        Message msg;
+        const auto wake_at = expire_deadlines();
+        Queued item;
         {
             std::unique_lock<std::mutex> lock(queue_mutex_);
             // Single (non-predicated) wait: any wake — message, shutdown,
-            // spurious, or a new deadline armed (deadline_dirty_) — loops back
-            // through expire_deadlines() so the sleep re-arms correctly.
+            // spurious, or an earlier deadline armed (deadline_dirty_) —
+            // loops back through expire_deadlines() so the sleep re-arms.
             if (queue_.empty() && !stopped_.load() && !deadline_dirty_) {
-                if (nearest == std::chrono::steady_clock::time_point::max()) {
+                if (wake_at == std::chrono::steady_clock::time_point::max()) {
                     queue_cv_.wait(lock);
                 } else {
-                    queue_cv_.wait_until(lock, nearest);
+                    queue_cv_.wait_until(lock, wake_at);
                 }
             }
             deadline_dirty_ = false;
@@ -145,33 +206,14 @@ void Endpoint::progress_loop() {
                 if (stopped_.load()) return;
                 continue;
             }
-            msg = std::move(queue_.front());
+            item = std::move(queue_.front());
             queue_.pop_front();
         }
-        if (msg.type == MessageType::kRequest) {
-            dispatch_request(std::move(msg));
-        } else {
-            complete_response(std::move(msg));
-        }
+        dispatch_request(std::move(item.msg), *item.handler);
     }
 }
 
-void Endpoint::dispatch_request(Message msg) {
-    Handler handler;
-    {
-        std::lock_guard<std::mutex> lock(handlers_mutex_);
-        auto it = handlers_.find(handler_key(msg.rpc, msg.provider));
-        if (it == handlers_.end()) {
-            // Wildcard fallback on provider 0.
-            it = handlers_.find(handler_key(msg.rpc, 0));
-        }
-        if (it != handlers_.end()) handler = it->second;
-    }
-    if (!handler) {
-        RequestContext ctx(*this, std::move(msg));
-        ctx.respond_error(Status::Unimplemented("no handler for rpc on " + address_));
-        return;
-    }
+void Endpoint::dispatch_request(Message msg, const HandlerEntry& handler) {
     // Admission gate: runs after handler lookup (an unknown rpc is not an
     // admission decision) and before any handler resources are committed.
     if (admission_) {
@@ -182,33 +224,29 @@ void Endpoint::dispatch_request(Message msg) {
             return;
         }
     }
-    auto self = shared_from_this();
-    auto work = [self, handler = std::move(handler), msg = std::move(msg)]() mutable {
-        RequestContext ctx(*self, std::move(msg));
-        try {
-            handler(ctx);
-        } catch (const std::exception& e) {
-            HEP_LOG_ERROR("handler threw on %s: %s", self->address_.c_str(), e.what());
-            // The context may or may not have responded; if not, the caller
-            // would hang, so attempt a best-effort error response.
-        }
-    };
-    if (executor_) {
-        executor_(std::move(work));
-    } else {
-        work();
+    RequestContext ctx(*this, std::move(msg));
+    try {
+        handler.fn(ctx);
+    } catch (const std::exception& e) {
+        HEP_LOG_ERROR("handler threw on %s: %s", address_.c_str(), e.what());
     }
+}
+
+bool Endpoint::take_pending(std::uint64_t seq, PendingCall& out) {
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    auto it = pending_.find(seq);
+    if (it == pending_.end()) return false;
+    out = std::move(it->second);
+    pending_.erase(it);
+    if (out.deadline != std::chrono::steady_clock::time_point::max()) {
+        deadlines_.erase({out.deadline, seq});
+    }
+    return true;
 }
 
 void Endpoint::complete_response(Message msg) {
     PendingCall call;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        auto it = pending_.find(msg.seq);
-        if (it == pending_.end()) return;  // late/duplicate/expired response
-        call = std::move(it->second);
-        pending_.erase(it);
-    }
+    if (!take_pending(msg.seq, call)) return;  // late/duplicate/expired response
     if (!msg.status.ok()) {
         call.fail(std::move(msg.status));
     } else if (call.chain_eventual) {
@@ -222,25 +260,31 @@ void Endpoint::complete_response(Message msg) {
 
 std::chrono::steady_clock::time_point Endpoint::expire_deadlines() {
     const auto now = std::chrono::steady_clock::now();
-    auto nearest = std::chrono::steady_clock::time_point::max();
     std::vector<PendingCall> expired;
+    std::chrono::steady_clock::time_point wake_at;
     {
         std::lock_guard<std::mutex> lock(pending_mutex_);
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (it->second.deadline <= now) {
-                expired.push_back(std::move(it->second));
-                it = pending_.erase(it);
-            } else {
-                nearest = std::min(nearest, it->second.deadline);
-                ++it;
-            }
+        while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+            auto it = pending_.find(deadlines_.begin()->second);
+            deadlines_.erase(deadlines_.begin());
+            expired.push_back(std::move(it->second));
+            pending_.erase(it);
         }
+        if (!deadlines_.empty()) {
+            progress_wake_at_ = deadlines_.begin()->first;
+        } else if (progress_wake_at_ <= now) {
+            progress_wake_at_ = std::chrono::steady_clock::time_point::max();
+        }
+        // else: every armed call completed early. Keep sleeping toward the
+        // old target: one spurious wake then is cheaper than being woken by
+        // the next call that arms a deadline.
+        wake_at = progress_wake_at_;
     }
     for (auto& call : expired) {
         const std::string describe = call.describe;
         call.fail(Status::DeadlineExceeded(describe + " exceeded its deadline"));
     }
-    return nearest;
+    return wake_at;
 }
 
 std::uint64_t Endpoint::send_request(const std::string& to, std::string_view rpc_name,
@@ -274,38 +318,39 @@ std::uint64_t Endpoint::send_request(const std::string& to, std::string_view rpc
         req.qos_budget_ms = static_cast<std::uint32_t>(std::min<std::int64_t>(
             deadline.count(), std::numeric_limits<std::uint32_t>::max()));
     }
+    const std::uint64_t seq = req.seq;
+    bool wake_progress = false;
     {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
+        std::unique_lock<std::mutex> lock(pending_mutex_);
+        // shutdown() sets stopped_ before it takes pending_ under this lock,
+        // so a call is either taken and cancelled there or refused here.
+        if (stopped_.load()) {
+            lock.unlock();
+            call.fail(Status::Cancelled("endpoint " + address_ + " is shut down"));
+            return seq;
+        }
         if (deadline.count() > 0) {
             call.deadline = std::chrono::steady_clock::now() + deadline;
             call.describe = "rpc '" + std::string(rpc_name) + "' to " + to;
-        } else {
-            call.deadline = std::chrono::steady_clock::time_point::max();
+            deadlines_.emplace(call.deadline, seq);
+            if (call.deadline < progress_wake_at_) {
+                progress_wake_at_ = call.deadline;
+                wake_progress = true;
+            }
         }
-        pending_.emplace(req.seq, std::move(call));
+        pending_.emplace(seq, std::move(call));
     }
-    const std::uint64_t seq = req.seq;
-    Status st = fabric_.deliver(to, std::move(req));
-    if (!st.ok()) {
-        PendingCall failed;
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            auto it = pending_.find(seq);
-            if (it == pending_.end()) return seq;
-            failed = std::move(it->second);
-            pending_.erase(it);
-        }
-        failed.fail(std::move(st));
-        return seq;
-    }
-    // Wake the progress loop so it re-arms its sleep against the (possibly
-    // nearer) new deadline.
-    if (deadline.count() > 0) {
+    if (wake_progress) {
         {
             std::lock_guard<std::mutex> lock(queue_mutex_);
             deadline_dirty_ = true;
         }
         queue_cv_.notify_one();
+    }
+    Status st = fabric_.deliver(to, std::move(req));
+    if (!st.ok()) {
+        PendingCall failed;
+        if (take_pending(seq, failed)) failed.fail(std::move(st));
     }
     return seq;
 }

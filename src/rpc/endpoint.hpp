@@ -5,10 +5,17 @@
 //  - synchronous call() that blocks the calling ULT/thread  [margo_forward]
 //  - expose()/bulk_get()/bulk_put() one-sided transfers      [HG_Bulk_*]
 //
-// Each endpoint runs a progress thread (like Mercury's progress loop) popping
-// its receive queue. Request dispatch is pluggable: by default handlers run
-// inline on the progress thread; Margo installs an executor that spawns a ULT
-// in the provider's Argobots pool instead.
+// Incoming messages are handled on the thread that delivers them: the
+// sender's thread for the loopback fabric and TcpFabric's local shortcut, a
+// connection's reader thread for remote TcpFabric traffic. A response completes its
+// pending call right there. A request whose handler was registered as a
+// dispatcher (margo's define_chain: handler lookup, QoS admission, then a
+// ULT spawned into the provider's pool; it never blocks) is dispatched
+// right there too, so each sender's requests reach the pool in send order.
+// Each endpoint also runs a progress thread (like Mercury's progress loop)
+// with two jobs: it runs plain handlers, which may block (a TCP handler that
+// does a bulk pull needs the reader thread to stay free), and it fails calls
+// whose deadline has passed.
 //
 // Payloads are hep::BufferChain scatter-gather lists end to end. The
 // std::string call()/respond() overloads are compatibility shims that adopt
@@ -26,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -97,15 +105,19 @@ class RequestContext {
 
 using Handler = std::function<void(RequestContext&)>;
 
-/// Runs a dispatch closure; Margo overrides this to spawn ULTs.
-using Executor = std::function<void(std::function<void()>)>;
+/// Where a request's handler runs. kBlocking handlers run on the endpoint's
+/// progress thread and may block. kDispatcher handlers run on the delivering
+/// thread and must never block: they hand the request on (margo spawns a ULT)
+/// and return.
+enum class HandlerKind : std::uint8_t { kBlocking, kDispatcher };
 
-/// Admission gate run on the progress thread at dispatch, after handler
-/// lookup and before any handler work: a non-OK status becomes the error
-/// response and the handler never runs (src/qos wires this up).
+/// Admission gate run at dispatch, after handler lookup and before any
+/// handler work: a non-OK status becomes the error response and the handler
+/// never runs (src/qos wires this up). Runs on the thread that runs the
+/// handler, so it must never block.
 using AdmissionHook = std::function<Status(const Message&)>;
 
-class Endpoint : public std::enable_shared_from_this<Endpoint> {
+class Endpoint {
   public:
     ~Endpoint();
     Endpoint(const Endpoint&) = delete;
@@ -116,10 +128,8 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
 
     /// Register a handler for (rpc name, provider id). Handlers for provider
     /// id 0 act as wildcard fallbacks for that rpc name.
-    void register_handler(std::string_view rpc_name, ProviderId provider, Handler handler);
-
-    /// Install the dispatch executor (default: run inline on progress thread).
-    void set_executor(Executor exec);
+    void register_handler(std::string_view rpc_name, ProviderId provider, Handler handler,
+                          HandlerKind kind = HandlerKind::kBlocking);
 
     /// Install the admission gate (default: admit everything).
     void set_admission(AdmissionHook hook);
@@ -199,8 +209,10 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
     Status bulk_put_chain(const hep::BufferChain& src, const BulkRef& remote,
                           std::uint64_t remote_offset);
 
-    /// Stop the progress loop and deregister from the fabric. Idempotent;
-    /// also called by the destructor.
+    /// Stop accepting deliveries (requests are answered Unavailable), wait for
+    /// deliveries already under way, stop the progress loop, deregister from
+    /// the fabric and fail every call still in flight with Cancelled.
+    /// Idempotent; also called by the destructor.
     void shutdown();
 
     [[nodiscard]] bool stopped() const noexcept { return stopped_.load(); }
@@ -212,7 +224,9 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
         return std::shared_ptr<Endpoint>(new Endpoint(fabric, std::move(address)));
     }
 
-    /// The owning fabric delivers incoming messages here (thread-safe).
+    /// The owning fabric delivers incoming messages here (thread-safe). Runs
+    /// responses and dispatcher requests on the calling thread; queues
+    /// requests for blocking handlers to the progress thread.
     void enqueue(Message msg);
 
     /// Serve a one-sided access against a LOCALLY exposed region (fabrics
@@ -225,34 +239,49 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
 
     Endpoint(Fabric& fabric, std::string address);
 
+    struct HandlerEntry {
+        Handler fn;
+        HandlerKind kind;
+    };
+    using HandlerPtr = std::shared_ptr<const HandlerEntry>;
+
     void progress_loop();
-    void dispatch_request(Message msg);
+    /// The handler for (msg.rpc, msg.provider), else the provider-0 wildcard.
+    HandlerPtr find_handler(const Message& msg);
+    /// Admission, then the handler, on the calling thread.
+    void dispatch_request(Message msg, const HandlerEntry& handler);
     void complete_response(Message msg);
 
-    /// Fail every pending call whose deadline has passed; returns the nearest
-    /// remaining deadline (time_point::max() when none is armed).
+    /// Fail every pending call whose deadline has passed; returns the time
+    /// the progress thread must wake by (time_point::max() = no deadline).
     std::chrono::steady_clock::time_point expire_deadlines();
 
     Fabric& fabric_;
     std::string address_;
 
     std::mutex handlers_mutex_;
-    std::unordered_map<std::uint64_t, Handler> handlers_;  // key: rpc<<16|provider
+    std::unordered_map<std::uint64_t, HandlerPtr> handlers_;  // key: rpc<<16|provider
 
-    Executor executor_;
     AdmissionHook admission_;
 
     mutable std::mutex default_qos_mutex_;
     qos::QosTag default_qos_;
 
-    // Receive queue + progress thread.
+    // Requests for blocking handlers + the progress thread.
+    struct Queued {
+        Message msg;
+        HandlerPtr handler;
+    };
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
-    std::deque<Message> queue_;
-    bool deadline_dirty_ = false;  // guarded by queue_mutex_: re-scan deadlines
+    std::deque<Queued> queue_;
+    bool deadline_dirty_ = false;  // guarded by queue_mutex_: re-arm the sleep
     std::thread progress_thread_;
     std::atomic<bool> stopped_{false};
     std::atomic<bool> shut_down_{false};
+    // enqueue() calls under way; shutdown() waits for them to drain, so no
+    // dispatch starts after it returns.
+    std::atomic<std::uint32_t> deliveries_in_flight_{0};
 
     // Outstanding calls. Exactly one of the two eventuals is armed per call:
     // the chain one for call_*_chain() callers, the string one for the
@@ -260,8 +289,9 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
     struct PendingCall {
         std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> chain_eventual;
         std::shared_ptr<abt::Eventual<Result<std::string>>> string_eventual;
-        std::chrono::steady_clock::time_point deadline;  // time_point::max() = none
-        std::string describe;                            // "rpc 'x' to addr" for errors
+        std::chrono::steady_clock::time_point deadline =
+            std::chrono::steady_clock::time_point::max();  // max() = none
+        std::string describe;  // "rpc 'x' to addr" for errors
 
         void fail(Status st) {
             if (chain_eventual) chain_eventual->set(std::move(st));
@@ -270,6 +300,13 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
     };
     std::mutex pending_mutex_;
     std::unordered_map<std::uint64_t, PendingCall> pending_;
+    // Armed deadlines in expiry order, (deadline, seq); an entry leaves when
+    // its call completes. Guarded by pending_mutex_, like progress_wake_at_:
+    // the time the progress thread sleeps toward. A new deadline wakes the
+    // progress thread only when it is earlier than that.
+    std::set<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>> deadlines_;
+    std::chrono::steady_clock::time_point progress_wake_at_ =
+        std::chrono::steady_clock::time_point::max();
     std::atomic<std::uint64_t> next_seq_{1};
     std::atomic<std::int64_t> default_deadline_ms_{0};
 
@@ -277,6 +314,8 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
                                ProviderId provider, hep::BufferChain payload,
                                std::chrono::milliseconds deadline, const qos::QosTag& tag,
                                PendingCall call);
+    /// Remove `seq` from the pending map (and its deadline); false if gone.
+    bool take_pending(std::uint64_t seq, PendingCall& out);
 
     // Exposed bulk regions: either a contiguous caller-owned range (data) or
     // a read-only scatter-gather chain whose storage the region pins.

@@ -528,6 +528,9 @@ void TcpFabric::handle_frame(Connection* conn, std::uint8_t kind, hep::Buffer fr
                 if (it != locals_.end()) target = it->second;
             }
             if (target && !target->stopped()) {
+                // Completes a response, or dispatches a margo request, right
+                // on this reader thread; plain handlers go to the progress
+                // thread, so a bulk pull inside one never stalls this reader.
                 target->enqueue(std::move(msg));
             } else if (msg.type == MessageType::kRequest) {
                 // Best effort: tell the caller nobody is home.

@@ -19,7 +19,7 @@ Status MapBackend::put_stamped(std::string_view key, hep::BufferView value, bool
     hep::BufferView owned = value.to_owned();
     {
         std::unique_lock lock(mutex_);
-        ++stats_.puts;
+        puts_.fetch_add(1, std::memory_order_relaxed);
         auto it = map_.find(key);
         if (it != map_.end()) {
             if (!overwrite) return Status::AlreadyExists(std::string(key));
@@ -35,7 +35,7 @@ Status MapBackend::put_stamped(std::string_view key, hep::BufferView value, bool
 
 Result<std::string> MapBackend::get(std::string_view key) {
     std::shared_lock lock(mutex_);
-    ++stats_.gets;
+    gets_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     hep::count_buffer_copy(it->second.value.size());
@@ -44,7 +44,7 @@ Result<std::string> MapBackend::get(std::string_view key) {
 
 Result<hep::BufferView> MapBackend::get_view(std::string_view key) {
     std::shared_lock lock(mutex_);
-    ++stats_.gets;
+    gets_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     return it->second.value;  // refcount bump only
@@ -52,7 +52,7 @@ Result<hep::BufferView> MapBackend::get_view(std::string_view key) {
 
 Result<std::pair<hep::BufferView, Stamp>> MapBackend::get_stamped(std::string_view key) {
     std::shared_lock lock(mutex_);
-    ++stats_.gets;
+    gets_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     return std::make_pair(it->second.value, it->second.stamp);
@@ -60,13 +60,13 @@ Result<std::pair<hep::BufferView, Stamp>> MapBackend::get_stamped(std::string_vi
 
 Result<bool> MapBackend::exists(std::string_view key) {
     std::shared_lock lock(mutex_);
-    ++stats_.gets;
+    gets_.fetch_add(1, std::memory_order_relaxed);
     return map_.find(key) != map_.end();
 }
 
 Result<std::uint64_t> MapBackend::length(std::string_view key) {
     std::shared_lock lock(mutex_);
-    ++stats_.gets;
+    gets_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     return static_cast<std::uint64_t>(it->second.value.size());
@@ -74,7 +74,7 @@ Result<std::uint64_t> MapBackend::length(std::string_view key) {
 
 Status MapBackend::erase(std::string_view key) {
     std::unique_lock lock(mutex_);
-    ++stats_.erases;
+    erases_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     map_.erase(it);
@@ -93,7 +93,7 @@ Status MapBackend::scan(std::string_view after, std::string_view prefix, bool wi
 Status MapBackend::scan_stamped(std::string_view after, std::string_view prefix,
                                 bool with_values, const StampedScanFn& fn) {
     std::shared_lock lock(mutex_);
-    ++stats_.scans;
+    scans_.fetch_add(1, std::memory_order_relaxed);
     // Start strictly after `after`, but never before `prefix`.
     auto it = after < prefix ? map_.lower_bound(prefix) : map_.upper_bound(after);
     for (; it != map_.end(); ++it) {
@@ -115,8 +115,12 @@ std::uint64_t MapBackend::size() const {
 }
 
 BackendStats MapBackend::stats() const {
-    std::shared_lock lock(mutex_);
-    return stats_;
+    BackendStats out;
+    out.puts = puts_.load(std::memory_order_relaxed);
+    out.gets = gets_.load(std::memory_order_relaxed);
+    out.scans = scans_.load(std::memory_order_relaxed);
+    out.erases = erases_.load(std::memory_order_relaxed);
+    return out;
 }
 
 }  // namespace hep::yokan

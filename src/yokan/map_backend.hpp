@@ -12,6 +12,7 @@
 // product/event keys, which is what snapshot readers scan).
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <shared_mutex>
 
@@ -50,7 +51,8 @@ class MapBackend final : public Database {
 
     mutable std::shared_mutex mutex_;
     std::map<std::string, Slot, std::less<>> map_;
-    mutable BackendStats stats_;
+    // Relaxed atomics: readers count under a shared lock, concurrently.
+    std::atomic<std::uint64_t> puts_{0}, gets_{0}, scans_{0}, erases_{0};
 };
 
 }  // namespace hep::yokan

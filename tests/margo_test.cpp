@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <mutex>
+#include <numeric>
+#include <thread>
+#include <vector>
 
 #include "margo/engine.hpp"
 
@@ -176,6 +183,59 @@ TEST_F(MargoTest, RawDefineWithContextDoesBulk) {
     auto r = client.endpoint().call("server", "pull", 0, serial::to_string(ref));
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_EQ(pulled.load(), blob.size());
+}
+
+TEST_F(MargoTest, RpcCompletesWhileServerProgressThreadIsBusy) {
+    // Margo requests are dispatched on the delivering thread: a plain
+    // handler blocking the server endpoint's progress thread cannot stall
+    // them.
+    Engine server(net, "server");
+    Engine client(net, "client");
+    server.define<int, int>("inc", 0, [](const int& x) -> Result<int> { return x + 1; });
+    std::promise<void> entered;
+    std::latch gate{1};
+    server.endpoint().register_handler("hold", 0, [&](rpc::RequestContext& ctx) {
+        entered.set_value();
+        gate.wait();
+        ctx.respond("released");
+    });
+    auto held = client.endpoint().call_async("server", "hold", 0, "");
+    entered.get_future().wait();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = client.forward<int, int>("server", "inc", 0, 41, std::chrono::milliseconds(1000));
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    gate.count_down();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(*r, 42);
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+    EXPECT_TRUE(held->wait().ok());
+}
+
+TEST_F(MargoTest, HandlersRunInSendOrder) {
+    // Sends from one thread reach a one-xstream pool in send order.
+    EngineConfig one_xstream;
+    one_xstream.rpc_xstreams = 1;
+    Engine server(net, "server", one_xstream);
+    Engine client(net, "client");
+    std::mutex order_mutex;
+    std::vector<int> order;
+    server.define<int, bool>("record", 0, [&](const int& i) -> Result<bool> {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(i);
+        return true;
+    });
+    std::vector<std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>>> calls;
+    for (int i = 0; i < 100; ++i) {
+        calls.push_back(client.endpoint().call_async_chain(
+            "server", "record", 0, serial::to_chain(i), std::chrono::milliseconds(5000)));
+    }
+    for (const auto& call : calls) {
+        ASSERT_TRUE(call->wait().ok()) << call->wait().status().to_string();
+    }
+    std::vector<int> expected(100);
+    std::iota(expected.begin(), expected.end(), 0);
+    std::lock_guard<std::mutex> lock(order_mutex);
+    EXPECT_EQ(order, expected);
 }
 
 }  // namespace

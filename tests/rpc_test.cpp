@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "rpc/rpc.hpp"
+#include "rpc/tcp_fabric.hpp"
 #include "rpc/wire_format.hpp"
 #include "serial/archive.hpp"
 
@@ -250,15 +255,107 @@ TEST_F(RpcTest, PartitionBlocksTraffic) {
     EXPECT_TRUE(client->call("server", "echo", 0, "x").ok());
 }
 
+// ------------------------------------------------ delivery path ------------
+
+using std::chrono::milliseconds;
+using Clock = std::chrono::steady_clock;
+
+TEST_F(RpcTest, ResponseCompletesWhileClientProgressThreadIsBusy) {
+    // Responses complete on the delivering thread, so a client whose own
+    // progress thread is stuck in a blocking handler still gets its answers.
+    auto server = net.create_endpoint("server");
+    auto client = net.create_endpoint("client");
+    auto poker = net.create_endpoint("poker");
+    server->register_handler("echo", 0, [](RequestContext& ctx) { ctx.respond(ctx.payload()); });
+    std::promise<void> entered;
+    std::latch gate{1};
+    client->register_handler("hold", 0, [&](RequestContext& ctx) {
+        entered.set_value();
+        gate.wait();
+        ctx.respond("released");
+    });
+    auto held = poker->call_async("client", "hold", 0, "");
+    entered.get_future().wait();
+    // Watchdog: if the response needed the client's progress thread, it
+    // arrives only after this release and the call fails its deadline.
+    std::promise<void> answered;
+    std::thread watchdog([&gate, done = answered.get_future()] {
+        (void)done.wait_for(milliseconds(2000));
+        gate.count_down();
+    });
+    const auto t0 = Clock::now();
+    auto r = client->call("server", "echo", 0, "ping", milliseconds(1000));
+    const auto elapsed = Clock::now() - t0;
+    answered.set_value();
+    watchdog.join();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(*r, "ping");
+    EXPECT_LT(elapsed, milliseconds(1000));
+    EXPECT_TRUE(held->wait().ok());
+}
+
+TEST_F(RpcTest, EarlyDeadlineExpiresAmongManyLongOnes) {
+    // Armed deadlines are kept in expiry order: one short deadline among a
+    // thousand long ones still fires on time.
+    auto server = net.create_endpoint("server");
+    auto client = net.create_endpoint("client");
+    server->register_handler("blackhole", 0, [](RequestContext&) { /* no respond() */ });
+    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> parked;
+    for (int i = 0; i < 1000; ++i) {
+        parked.push_back(client->call_async("server", "blackhole", 0, "", milliseconds(10000)));
+    }
+    const auto t0 = Clock::now();
+    auto r = client->call("server", "blackhole", 0, "", milliseconds(20));
+    const auto elapsed = Clock::now() - t0;
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status().to_string();
+    EXPECT_LT(elapsed, milliseconds(200));
+    for (const auto& call : parked) EXPECT_FALSE(call->ready());
+    client->shutdown();
+    for (const auto& call : parked) {
+        EXPECT_EQ(call->wait().status().code(), StatusCode::kCancelled);
+    }
+}
+
+// Shutdown contract, the same over every fabric: calls in flight (and calls
+// made after the stop) fail Cancelled, and a stopped endpoint answers new
+// requests Unavailable.
+void check_shutdown_contract(Endpoint& server, Endpoint& client, Endpoint& other_client) {
+    server.register_handler("blackhole", 0, [](RequestContext&) { /* no respond() */ });
+    server.register_handler("echo", 0, [](RequestContext& ctx) { ctx.respond(ctx.payload()); });
+    ASSERT_TRUE(client.call(server.address(), "echo", 0, "x", milliseconds(5000)).ok());
+    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> inflight;
+    for (int i = 0; i < 8; ++i) {
+        inflight.push_back(
+            client.call_async(server.address(), "blackhole", 0, "", milliseconds(5000)));
+    }
+    client.shutdown();
+    inflight.push_back(client.call_async(server.address(), "echo", 0, "late"));
+    for (const auto& call : inflight) {
+        ASSERT_TRUE(call->ready());
+        EXPECT_EQ(call->wait().status().code(), StatusCode::kCancelled)
+            << call->wait().status().to_string();
+    }
+    server.shutdown();
+    auto r = other_client.call(server.address(), "echo", 0, "x", milliseconds(5000));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable) << r.status().to_string();
+}
+
 TEST_F(RpcTest, ShutdownCancelsInflightAndRejectsNew) {
     auto server = net.create_endpoint("server");
     auto client = net.create_endpoint("client");
-    server->register_handler("echo", 0, [](RequestContext& ctx) { ctx.respond(ctx.payload()); });
-    EXPECT_TRUE(client->call("server", "echo", 0, "x").ok());
-    server->shutdown();
-    auto r = client->call("server", "echo", 0, "x");
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+    auto other = net.create_endpoint("other");
+    check_shutdown_contract(*server, *client, *other);
+}
+
+TEST(RpcTcpTest, ShutdownCancelsInflightAndRejectsNewOverTcp) {
+    TcpFabric server_fabric;
+    TcpFabric client_fabric;
+    auto server = server_fabric.create_endpoint("server");
+    auto client = client_fabric.create_endpoint("client");
+    auto other = client_fabric.create_endpoint("other");
+    check_shutdown_contract(*server, *client, *other);
 }
 
 TEST_F(RpcTest, TrafficAccounting) {

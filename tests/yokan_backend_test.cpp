@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "yokan/backend.hpp"
@@ -178,6 +180,30 @@ TEST_P(BackendTest, ManyKeysSurviveAndIterateInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest, ::testing::Values("map", "lsm"));
+
+// Readers count their ops under a shared lock, so handler ULTs on different
+// xstreams count concurrently: every get and scan must still be counted.
+TEST(MapBackendTest, ConcurrentReadsCountExactly) {
+    MapBackend db;
+    ASSERT_TRUE(db.put("k", "v", /*overwrite=*/true).ok());
+    constexpr int kThreads = 4, kGets = 250000, kScans = 20000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&db] {
+            for (int i = 0; i < kGets; ++i) (void)db.get_view("k");
+            for (int i = 0; i < kScans; ++i) {
+                (void)db.scan("", "", false, [](std::string_view, std::string_view) {
+                    return true;
+                });
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    const BackendStats stats = db.stats();
+    EXPECT_EQ(stats.gets, std::uint64_t{kThreads} * kGets);
+    EXPECT_EQ(stats.scans, std::uint64_t{kThreads} * kScans);
+    EXPECT_EQ(stats.puts, 1u);
+}
 
 // ----------------------------------------------------- model equivalence
 

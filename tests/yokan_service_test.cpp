@@ -305,6 +305,9 @@ TEST_F(YokanServiceTest, LsmBackedProviderOverRpc) {
     }
     EXPECT_EQ(*lsm_db.get("key150"), "value150");
     EXPECT_EQ(*lsm_db.count(), 200u);
+    // Close the database (joining its background compaction, which deletes
+    // obsolete tables) before removing its directory.
+    provider.value().reset();
     fs::remove_all(dir);
 }
 
