@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -421,11 +422,81 @@ void BM_LeaseCacheFillEvict(benchmark::State& state) {
     hep::Buffer value = hep::Buffer::adopt(std::string(4096, 'v'));
     std::uint64_t i = 0;
     for (auto _ : state) {
-        c.fill("key-" + std::to_string(i++ % 1024), value.view(0, 4096), i, t);
+        c.fill("key-" + std::to_string(i % 1024), value.view(0, 4096), i, t);
+        ++i;
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LeaseCacheFillEvict);
+
+// The bulk prefetch path's shape: pages of kPageKeys product-sized keys
+// against a full client cache of the default kCacheEntries entries, as in a
+// PEP pass over a dataset larger than the cache. Items are keys.
+constexpr std::size_t kCacheEntries = 1u << 16;
+constexpr std::size_t kPageKeys = 2048;
+
+std::string page_key(std::uint64_t n) {
+    // ~ a product key: 40-byte event key, then label and type name.
+    std::string key(40, '\0');
+    for (int b = 0; b < 8; ++b) key[32 + b] = static_cast<char>(n >> (56 - 8 * b));
+    return key + "slices#std::vector<hep::nova::Slice>";
+}
+
+std::vector<std::string> make_page(std::uint64_t first) {
+    std::vector<std::string> keys;
+    keys.reserve(kPageKeys);
+    for (std::uint64_t n = first; n < first + kPageKeys; ++n) keys.push_back(page_key(n));
+    return keys;
+}
+
+/// A full cache, its ticket, and one shared value buffer.
+struct FullCache {
+    FullCache() : value(hep::Buffer::adopt(std::string(64, 'v'))) {
+        cache::CacheOptions opts;
+        opts.max_entries = kCacheEntries;
+        c = std::make_unique<cache::LeaseCache>(opts);
+        const auto t = c->ticket("db", "t");
+        const std::vector<std::optional<hep::BufferView>> values(kPageKeys,
+                                                                 value.view(0, 64));
+        for (std::uint64_t n = 0; n < kCacheEntries; n += kPageKeys) {
+            c->fill_many(make_page(n), values, 1, t);
+        }
+    }
+    std::unique_ptr<cache::LeaseCache> c;
+    hep::Buffer value;
+};
+
+void BM_LeaseCacheLookupManyMiss(benchmark::State& state) {
+    FullCache full;
+    const auto keys = make_page(kCacheEntries);  // never filled
+    for (auto _ : state) {
+        auto found = full.c->lookup_many(keys);
+        benchmark::DoNotOptimize(found.data());
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPageKeys));
+}
+BENCHMARK(BM_LeaseCacheLookupManyMiss);
+
+void BM_LeaseCacheFillManyEvict(benchmark::State& state) {
+    FullCache full;
+    const auto t = full.c->ticket("db", "t");
+    const std::vector<std::optional<hep::BufferView>> values(kPageKeys,
+                                                             full.value.view(0, 64));
+    // Pages cycle over 4x the capacity, so every fill evicts one entry.
+    std::vector<std::vector<std::string>> pages;
+    for (std::uint64_t n = 0; n < 4 * kCacheEntries; n += kPageKeys) {
+        pages.push_back(make_page(kCacheEntries + n));
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto keys = pages[next++ % pages.size()];  // the copy load_products_bulk makes
+        state.ResumeTiming();
+        full.c->fill_many(std::move(keys), values, 1, t);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPageKeys));
+}
+BENCHMARK(BM_LeaseCacheFillManyEvict);
 
 void BM_ZipfSample(benchmark::State& state) {
     Rng rng(7);

@@ -1,5 +1,7 @@
 #include "cache/lease_cache.hpp"
 
+#include <algorithm>
+
 namespace hep::cache {
 
 CacheOptions CacheOptions::from_json(const json::Value& cfg) {
@@ -22,23 +24,37 @@ CacheOptions CacheOptions::from_json(const json::Value& cfg) {
 
 LeaseCache::LeaseCache(CacheOptions opts) : opts_(opts) {
     bypass_.store(opts_.bypass, std::memory_order_relaxed);
+    // Bulk prefetch pages mostly miss. At this load factor most missed keys
+    // hash to an empty bucket, so a probe costs one cache miss, not a walk
+    // along a cold chain.
+    index_.max_load_factor(0.5f);
 }
 
 LeaseCache::Lookup LeaseCache::lookup(std::string_view key) {
-    const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
+    return lookup_locked(key, Clock::now());
+}
+
+std::vector<LeaseCache::Lookup> LeaseCache::lookup_many(const std::vector<std::string>& keys) {
+    std::vector<Lookup> out;
+    out.reserve(keys.size());
+    for (std::size_t start = 0; start < keys.size(); start += kLockChunk) {
+        const std::size_t end = std::min(start + kLockChunk, keys.size());
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (std::size_t i = start; i < end; ++i) out.push_back(lookup_locked(keys[i], now));
+    }
+    return out;
+}
+
+LeaseCache::Lookup LeaseCache::lookup_locked(std::string_view key, Clock::time_point now) {
+    auto it = index_.find(key);
     if (it == index_.end()) {
         ++counters_.misses;
         return {};
     }
     Entry& e = *it->second;
-    const auto db_ep = db_epochs_.find(e.db_id);
-    const auto tg_ep = target_epochs_.find(e.target);
-    const bool epoch_ok =
-        (db_ep == db_epochs_.end() ? 0 : db_ep->second) == e.db_epoch &&
-        (tg_ep == target_epochs_.end() ? 0 : tg_ep->second) == e.target_epoch;
-    if (!epoch_ok) {
+    if (!current(e.epochs)) {
         ++counters_.stale_drops;
         ++counters_.misses;
         unlink_locked(it->second);
@@ -54,42 +70,53 @@ LeaseCache::Lookup LeaseCache::lookup(std::string_view key) {
     return {LookupState::kHit, e.value, e.seq, e.vseq, e.vepoch};
 }
 
-LeaseCache::Ticket LeaseCache::ticket(std::string db_id, std::string target) {
+LeaseCache::Ticket LeaseCache::ticket(const std::string& db_id, const std::string& target) {
     std::lock_guard<std::mutex> lock(mu_);
-    Ticket t;
-    t.db_epoch = db_epochs_[db_id];
-    t.target_epoch = target_epochs_[target];
-    t.db_id = std::move(db_id);
-    t.target = std::move(target);
-    return t;
+    return Ticket(db_epochs_[db_id], target_epochs_[target]);
 }
 
 void LeaseCache::fill(std::string key, hep::BufferView value, std::uint64_t seq,
                       const Ticket& t, std::uint64_t vseq, std::uint32_t vepoch) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) unlink_locked(it->second);
-    Entry e;
-    e.key = std::move(key);
-    e.value = std::move(value);
-    e.seq = seq;
-    e.vseq = vseq;
-    e.vepoch = vepoch;
-    e.db_epoch = t.db_epoch;
-    e.target_epoch = t.target_epoch;
-    e.db_id = t.db_id;
-    e.target = t.target;
-    e.filled_at = std::chrono::steady_clock::now();
-    bytes_ += entry_bytes(e);
-    lru_.push_front(std::move(e));
-    index_.emplace(lru_.front().key, lru_.begin());
+    fill_locked(std::move(key), std::move(value), seq, t, vseq, vepoch, Clock::now());
+}
+
+void LeaseCache::fill_many(std::vector<std::string>&& keys,
+                           const std::vector<std::optional<hep::BufferView>>& values,
+                           std::uint64_t seq, const Ticket& t) {
+    const std::size_t n = std::min(keys.size(), values.size());
+    for (std::size_t start = 0; start < n; start += kLockChunk) {
+        const std::size_t end = std::min(start + kLockChunk, n);
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (std::size_t i = start; i < end; ++i) {
+            if (values[i]) fill_locked(std::move(keys[i]), *values[i], seq, t, 0, 0, now);
+        }
+    }
+}
+
+void LeaseCache::fill_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
+                             const Ticket& t, std::uint64_t vseq, std::uint32_t vepoch,
+                             Clock::time_point now) {
+    lru_.push_front(Entry{std::move(key), std::move(value), seq, vseq, vepoch, t, now});
+    bytes_ += entry_bytes(lru_.front());
+    // One probe finds-or-inserts; replacing an entry (rare) re-keys the
+    // index to the new entry's string.
+    auto [slot, inserted] = index_.try_emplace(lru_.front().key, lru_.begin());
+    if (!inserted) {
+        const auto old = slot->second;
+        index_.erase(slot);
+        bytes_ -= entry_bytes(*old);
+        lru_.erase(old);
+        index_.emplace(lru_.front().key, lru_.begin());
+    }
     ++counters_.fills;
     evict_locked();
 }
 
 bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
+    auto it = index_.find(key);
     if (it == index_.end()) return false;
     Entry& e = *it->second;
     if (e.seq != seq) return false;
@@ -97,14 +124,11 @@ bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t)
     // since — a mutation, or a failover promotion demoting the target this
     // entry was filled from — the probe's answer may have come from a stale
     // primary; refuse and let the caller refetch from the current one.
-    const auto db_ep = db_epochs_.find(t.db_id);
-    const auto tg_ep = target_epochs_.find(t.target);
-    if ((db_ep == db_epochs_.end() ? 0 : db_ep->second) != t.db_epoch ||
-        (tg_ep == target_epochs_.end() ? 0 : tg_ep->second) != t.target_epoch) {
+    if (!current(t)) return false;
+    if (e.epochs.db_epoch_ != t.db_epoch_ || e.epochs.target_epoch_ != t.target_epoch_) {
         return false;
     }
-    if (e.db_epoch != t.db_epoch || e.target_epoch != t.target_epoch) return false;
-    e.filled_at = std::chrono::steady_clock::now();
+    e.filled_at = Clock::now();
     lru_.splice(lru_.begin(), lru_, it->second);
     ++counters_.renewals;
     return true;
@@ -112,7 +136,7 @@ bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t)
 
 void LeaseCache::erase(std::string_view key) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
+    auto it = index_.find(key);
     if (it != index_.end()) unlink_locked(it->second);
 }
 

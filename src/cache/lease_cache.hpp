@@ -32,9 +32,11 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/json.hpp"
@@ -72,6 +74,10 @@ class LeaseCache {
   public:
     explicit LeaseCache(CacheOptions opts = {});
 
+    /// Keys per lock hold in the batch calls: a bulk page never makes a
+    /// concurrent single-key read wait behind all of its keys.
+    static constexpr std::size_t kLockChunk = 256;
+
     enum class LookupState { kMiss, kHit, kExpired };
 
     struct Lookup {
@@ -83,11 +89,18 @@ class LeaseCache {
     };
 
     /// Epochs captured before a fill's read is issued (see file comment).
-    struct Ticket {
-        std::string db_id;
-        std::string target;
-        std::uint64_t db_epoch = 0;
-        std::uint64_t target_epoch = 0;
+    /// It points at this cache's interned epoch counters, so it is only
+    /// meaningful to the cache that issued it.
+    class Ticket {
+      private:
+        friend class LeaseCache;
+        Ticket(const std::uint64_t& db, const std::uint64_t& target)
+            : db_slot_(&db), target_slot_(&target), db_epoch_(db), target_epoch_(target) {}
+
+        const std::uint64_t* db_slot_;
+        const std::uint64_t* target_slot_;
+        std::uint64_t db_epoch_;
+        std::uint64_t target_epoch_;
     };
 
     /// Serve `key` if present: kHit moves the entry to the MRU end and hands
@@ -96,13 +109,25 @@ class LeaseCache {
     /// and reported as a miss.
     Lookup lookup(std::string_view key);
 
+    /// lookup() of every key, in order: result i answers keys[i], with the
+    /// same states, LRU touches and counters as one lookup() per key. The
+    /// lock is taken, and the clock read, once per kLockChunk keys.
+    std::vector<Lookup> lookup_many(const std::vector<std::string>& keys);
+
     /// Capture the current epochs of (db_id, target) for a fill in flight.
-    Ticket ticket(std::string db_id, std::string target);
+    Ticket ticket(const std::string& db_id, const std::string& target);
 
     /// Insert (or replace) an entry carrying the ticket's epochs. vseq/vepoch
     /// are the value's own MVCC stamp (0,0 = unknown: pinned lookups bypass).
     void fill(std::string key, hep::BufferView value, std::uint64_t seq, const Ticket& t,
               std::uint64_t vseq = 0, std::uint32_t vepoch = 0);
+
+    /// fill() of one bulk read's reply: keys[i] gets values[i], all with
+    /// `seq` and `t`; a value the owner did not have (nullopt) is not
+    /// cached. Keys are moved into the entries. Same locking as lookup_many.
+    void fill_many(std::vector<std::string>&& keys,
+                   const std::vector<std::optional<hep::BufferView>>& values, std::uint64_t seq,
+                   const Ticket& t);
 
     /// Refresh an expired entry's lease after the owner's seq was confirmed
     /// unchanged. `t` must have been captured BEFORE the seq probe: a
@@ -153,23 +178,30 @@ class LeaseCache {
     [[nodiscard]] json::Value stats_json() const;
 
   private:
+    using Clock = std::chrono::steady_clock;
+
     struct Entry {
-        std::string key;
+        std::string key;  // backs the index_ key: never modified once linked
         hep::BufferView value;
         std::uint64_t seq = 0;
         std::uint64_t vseq = 0;    // value's MVCC stamp (0 = unknown)
         std::uint32_t vepoch = 0;
-        std::uint64_t db_epoch = 0;
-        std::uint64_t target_epoch = 0;
-        std::string db_id;
-        std::string target;
-        std::chrono::steady_clock::time_point filled_at;
+        Ticket epochs;  // the fill's ticket
+        Clock::time_point filled_at;
     };
     using List = std::list<Entry>;
 
-    [[nodiscard]] std::size_t entry_bytes(const Entry& e) const noexcept {
+    [[nodiscard]] static std::size_t entry_bytes(const Entry& e) noexcept {
         return e.key.size() + e.value.size();
     }
+    /// Neither counter the ticket captured has moved since.
+    [[nodiscard]] static bool current(const Ticket& t) noexcept {
+        return *t.db_slot_ == t.db_epoch_ && *t.target_slot_ == t.target_epoch_;
+    }
+    Lookup lookup_locked(std::string_view key, Clock::time_point now);
+    void fill_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
+                     const Ticket& t, std::uint64_t vseq, std::uint32_t vepoch,
+                     Clock::time_point now);
     void unlink_locked(List::iterator it);
     void evict_locked();
 
@@ -178,7 +210,9 @@ class LeaseCache {
 
     mutable std::mutex mu_;
     List lru_;  // front = MRU
-    std::unordered_map<std::string, List::iterator> index_;
+    std::unordered_map<std::string_view, List::iterator> index_;  // views of Entry::key
+    // Epoch counters, interned: tickets and entries point at these map
+    // nodes, which never move and are never erased.
     std::unordered_map<std::string, std::uint64_t> db_epochs_;
     std::unordered_map<std::string, std::uint64_t> target_epochs_;
     std::size_t bytes_ = 0;

@@ -284,10 +284,10 @@ Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::load_products
     std::vector<std::optional<hep::BufferView>> out(keys.size());
     std::vector<std::string> missing;
     std::vector<std::size_t> slots;
+    auto found = cache_->lookup_many(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-        auto found = cache_->lookup(keys[i]);
-        if (found.state == cache::LeaseCache::LookupState::kHit) {
-            out[i] = std::move(found.value);
+        if (found[i].state == cache::LeaseCache::LookupState::kHit) {
+            out[i] = std::move(found[i].value);
         } else {
             missing.push_back(keys[i]);
             slots.push_back(i);
@@ -301,11 +301,8 @@ Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::load_products
     std::uint64_t seq = 0;
     auto fetched = db.get_multi_views(missing, 1 << 20, &seq);
     if (!fetched.ok()) return fetched.status();
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-        if (!(*fetched)[j].has_value()) continue;
-        cache_->fill(missing[j], *(*fetched)[j], seq, ticket);
-        out[slots[j]] = std::move(*(*fetched)[j]);
-    }
+    cache_->fill_many(std::move(missing), *fetched, seq, ticket);
+    for (std::size_t j = 0; j < slots.size(); ++j) out[slots[j]] = std::move((*fetched)[j]);
     return out;
 }
 

@@ -13,33 +13,34 @@ ParallelEventProcessor::ParallelEventProcessor(DataStore datastore, mpisim::Comm
     }
 }
 
-std::shared_ptr<ProductCache> ParallelEventProcessor::prefetch_products(
-    const std::vector<std::string>& event_keys) {
-    auto cache = std::make_shared<ProductCache>();
-    if (prefetch_.empty()) return cache;
-    auto& impl = *datastore_.impl();
-
+std::size_t prefetch_products(DataStoreImpl& impl, const std::vector<std::string>& event_keys,
+                              const std::vector<std::pair<std::string, std::string>>& labels,
+                              const Snapshot* snap, ProductCache& cache) {
+    if (labels.empty()) return 0;
     // Group product keys by the product database that owns them (placement
     // hashes the event's container key), then one get_multi per database.
     std::map<std::size_t, std::vector<std::string>> by_db;
     for (const auto& event_key : event_keys) {
         const std::size_t db_index = impl.locate_index(Role::kProducts, event_key);
-        for (const auto& [label, type] : prefetch_) {
+        for (const auto& [label, type] : labels) {
             by_db[db_index].push_back(product_key(event_key, label, type));
         }
     }
+    std::size_t found = 0;
     for (auto& [db_index, keys] : by_db) {
-        // Background prefetch rides batch class (see reader_loop) and reads
-        // through the client lease cache — hot products skip the wire.
-        auto values = impl.load_products_bulk(db_index, keys);
+        // Unpinned loads read through the client lease cache: hot products
+        // skip the wire. Pinned ones skip the cache (it holds latest values).
+        auto values = impl.load_products_bulk(
+            db_index, keys, snap ? &snap->pin(Role::kProducts, db_index) : nullptr);
         if (!values.ok()) throw Exception(values.status());
         for (std::size_t i = 0; i < keys.size(); ++i) {
             if ((*values)[i].has_value()) {
-                cache->put(std::move(keys[i]), std::move(*(*values)[i]));
+                cache.put(std::move(keys[i]), std::move(*(*values)[i]));
+                ++found;
             }
         }
     }
-    return cache;
+    return found;
 }
 
 void ParallelEventProcessor::reader_loop(const DataSet& dataset, std::size_t reader_index,
@@ -61,7 +62,8 @@ void ParallelEventProcessor::reader_loop(const DataSet& dataset, std::size_t rea
             if (page->empty()) break;
             after = page->back();
 
-            auto cache = prefetch_products(*page);
+            auto cache = std::make_shared<ProductCache>();
+            prefetch_products(impl, *page, prefetch_, nullptr, *cache);
 
             // Split the input batch into share batches for fine-grained
             // load balancing across pulling workers.

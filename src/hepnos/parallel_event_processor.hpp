@@ -53,10 +53,6 @@ class ProductCache {
     void put(std::string key, hep::BufferView bytes) {
         items_.emplace(std::move(key), std::move(bytes));
     }
-    /// Compatibility shim: adopts the string into owned storage (no copy).
-    void put(std::string key, std::string bytes) {
-        put(std::move(key), hep::BufferView(hep::Buffer::adopt(std::move(bytes))));
-    }
 
     /// Load a prefetched product; false if it was not prefetched (the caller
     /// may still fall back to Event::load, which does an RPC).
@@ -74,6 +70,15 @@ class ProductCache {
   private:
     std::map<std::string, hep::BufferView, std::less<>> items_;
 };
+
+/// The prefetch step of the ParallelEventProcessor and the Prefetcher: put
+/// the (label, type) products of every event in `event_keys` into `cache`,
+/// with one batch-class DataStoreImpl::load_products_bulk per products
+/// database. A non-null `snap` pins every load at that snapshot (bypassing
+/// the client lease cache). Returns the number of products found.
+std::size_t prefetch_products(DataStoreImpl& impl, const std::vector<std::string>& event_keys,
+                              const std::vector<std::pair<std::string, std::string>>& labels,
+                              const Snapshot* snap, ProductCache& cache);
 
 class ParallelEventProcessor {
   public:
@@ -141,7 +146,6 @@ class ParallelEventProcessor {
 
     void reader_loop(const DataSet& dataset, std::size_t reader_index, std::size_t num_readers,
                      SharedQueue& queue);
-    std::shared_ptr<ProductCache> prefetch_products(const std::vector<std::string>& event_keys);
 
     DataStore datastore_;
     mpisim::Comm& comm_;

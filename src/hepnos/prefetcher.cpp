@@ -22,31 +22,10 @@ void Prefetcher::visit_container(const Uuid& dataset, std::string_view parent_ke
         if (page->empty()) break;
         after = page->back();
 
-        // One get_multi per product database for everything this page needs.
+        // One batch-class get_multi per product database for everything
+        // this page needs.
         ProductCache cache;
-        if (!labels_.empty()) {
-            std::map<std::size_t, std::vector<std::string>> by_db;
-            for (const auto& event_key : *page) {
-                const std::size_t db = impl.locate_index(Role::kProducts, event_key);
-                for (const auto& [label, type] : labels_) {
-                    by_db[db].push_back(product_key(event_key, label, type));
-                }
-            }
-            for (auto& [db, keys] : by_db) {
-                // Batch-class bulk load through the client lease cache: hot
-                // products are served locally, only the rest hit the wire.
-                // (Pinned loads skip the cache — it holds latest values.)
-                auto values = impl.load_products_bulk(
-                    db, keys, snap_ ? &snap_->pin(Role::kProducts, db) : nullptr);
-                if (!values.ok()) throw Exception(values.status());
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    if ((*values)[i].has_value()) {
-                        cache.put(std::move(keys[i]), std::move(*(*values)[i]));
-                        ++prefetched_;
-                    }
-                }
-            }
-        }
+        prefetched_ += prefetch_products(impl, *page, labels_, snap_ ? &*snap_ : nullptr, cache);
 
         for (const auto& key : *page) {
             const RunNumber run = decode_be64(std::string_view(key).substr(16));

@@ -5,7 +5,10 @@
 // loopback, and failover-driven invalidation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "cache/provider.hpp"
 #include "hepnos/hepnos.hpp"
 #include "hepnos/prefetcher.hpp"
+#include "mpisim/comm.hpp"
 #include "symbio/provider.hpp"
 #include "test_service.hpp"
 
@@ -161,6 +165,220 @@ TEST(LeaseCacheTest, OptionsFromJsonAndBypass) {
     EXPECT_TRUE(c.bypass());
     c.set_bypass(false);
     EXPECT_FALSE(c.bypass());
+}
+
+// The same op script, run once through the single-key calls and once through
+// the batch calls, must leave two caches indistinguishable.
+struct CacheOp {
+    enum Kind { kFill, kLookup, kBumpDb, kBumpTarget } kind;
+    std::vector<int> keys;
+};
+
+std::string script_key(int n) {
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "k%03d", n);
+    return buf;
+}
+
+// Distinct value lengths give every entry a distinct byte size, so the
+// eviction order probe below can tell entries apart by bytes() alone.
+std::optional<hep::BufferView> script_value(int n) {
+    if (n % 7 == 3) return std::nullopt;  // not found at the owner
+    return view_of(std::string(static_cast<std::size_t>(n) + 1, 'v'));
+}
+
+/// Runs `ops`; returns what every lookup answered, in order.
+std::vector<std::string> run_script(cache::LeaseCache& c, const std::vector<CacheOp>& ops,
+                                    bool batch) {
+    std::vector<std::string> log;
+    for (const auto& op : ops) {
+        std::vector<std::string> keys;
+        for (int n : op.keys) keys.push_back(script_key(n));
+        switch (op.kind) {
+            case CacheOp::kFill: {
+                std::vector<std::optional<hep::BufferView>> values;
+                for (int n : op.keys) values.push_back(script_value(n));
+                const auto t = c.ticket("db", "target");
+                if (batch) {
+                    c.fill_many(std::move(keys), values, 5, t);
+                } else {
+                    for (std::size_t i = 0; i < keys.size(); ++i) {
+                        if (values[i]) c.fill(keys[i], *values[i], 5, t);
+                    }
+                }
+                break;
+            }
+            case CacheOp::kLookup: {
+                std::vector<cache::LeaseCache::Lookup> found;
+                if (batch) {
+                    found = c.lookup_many(keys);
+                } else {
+                    for (const auto& k : keys) found.push_back(c.lookup(k));
+                }
+                for (const auto& f : found) {
+                    log.push_back(std::to_string(static_cast<int>(f.state)) + ":" +
+                                  std::string(f.value.sv()));
+                }
+                break;
+            }
+            case CacheOp::kBumpDb: c.bump_db("db"); break;
+            case CacheOp::kBumpTarget: c.bump_target("target"); break;
+        }
+    }
+    return log;
+}
+
+/// bytes() after each of `n` fills of fresh, value-less keys: each fill into
+/// a full cache evicts the LRU tail, so the sequence spells the LRU order.
+std::vector<std::size_t> eviction_order(cache::LeaseCache& c, std::size_t n) {
+    std::vector<std::size_t> out;
+    const auto t = c.ticket("db", "target");
+    for (std::size_t i = 0; i < n; ++i) {
+        c.fill("z" + std::to_string(i), hep::BufferView(), 5, t);
+        out.push_back(c.bytes());
+    }
+    return out;
+}
+
+void expect_same_counters(const cache::LeaseCache::Counters& a,
+                          const cache::LeaseCache::Counters& b) {
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.fills, b.fills);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.stale_drops, b.stale_drops);
+    EXPECT_EQ(a.lease_expiries, b.lease_expiries);
+    EXPECT_EQ(a.renewals, b.renewals);
+}
+
+std::vector<int> key_range(int first, int last) {
+    std::vector<int> out;
+    for (int n = first; n <= last; ++n) out.push_back(n);
+    return out;
+}
+
+TEST(LeaseCacheTest, BatchCallsMatchSingleKeyCalls) {
+    // A page larger than the entry bound, overwrites, duplicate keys in one
+    // batch, stale drops after each kind of epoch bump, byte evictions, and
+    // batches longer than LeaseCache::kLockChunk.
+    std::vector<CacheOp> ops{
+        {CacheOp::kFill, key_range(0, 19)},
+        {CacheOp::kLookup, key_range(0, 29)},
+        {CacheOp::kFill, {10, 11, 12, 11, 14}},
+        {CacheOp::kLookup, {12, 12, 13, 14, 19, 4}},
+        {CacheOp::kBumpDb, {}},
+        {CacheOp::kLookup, key_range(10, 16)},
+        {CacheOp::kFill, key_range(20, 39)},
+        {CacheOp::kBumpTarget, {}},
+        {CacheOp::kLookup, {25, 30}},
+        {CacheOp::kFill, key_range(40, 45)},
+        {CacheOp::kLookup, {32, 41, 44, 41, 38, 45}},
+        {CacheOp::kFill, {1, 3, 59}},
+        {CacheOp::kLookup, key_range(0, 59)},
+        // Batches that span several lock chunks.
+        {CacheOp::kFill, key_range(100, 399)},
+        {CacheOp::kLookup, key_range(0, 599)},
+    };
+    ASSERT_LT(cache::LeaseCache::kLockChunk, 300u);
+    // lease_ms 0 turns every lookup of a live entry into kExpired (no touch).
+    for (std::uint32_t lease_ms : {60000u, 0u}) {
+        cache::CacheOptions opts;
+        opts.max_entries = 16;
+        opts.capacity_bytes = 500;
+        opts.lease_ms = lease_ms;
+        cache::LeaseCache single(opts);
+        cache::LeaseCache batch(opts);
+        EXPECT_EQ(run_script(single, ops, false), run_script(batch, ops, true));
+        EXPECT_EQ(single.size(), batch.size());
+        EXPECT_EQ(single.bytes(), batch.bytes());
+        expect_same_counters(single.counters(), batch.counters());
+        EXPECT_GT(batch.counters().evictions, 0u);
+        EXPECT_GT(batch.counters().stale_drops, 0u);
+        EXPECT_EQ(eviction_order(single, opts.max_entries),
+                  eviction_order(batch, opts.max_entries));
+    }
+}
+
+TEST(LeaseCacheTest, EpochBumpBetweenTicketAndFillManyLeavesTheBatchStale) {
+    const std::vector<std::string> keys{"a", "b", "c", "d", "e"};
+    const std::vector<std::optional<hep::BufferView>> values(keys.size(), view_of("v"));
+    for (bool bump_target : {false, true}) {
+        cache::LeaseCache c;
+        const auto t = c.ticket("db", "target");
+        // The mutation (or failover promotion) lands while the read is out.
+        if (bump_target) {
+            c.bump_target("target");
+        } else {
+            c.bump_db("db");
+        }
+        c.fill_many(std::vector<std::string>(keys), values, 1, t);
+        EXPECT_EQ(c.counters().fills, keys.size());
+        for (const auto& found : c.lookup_many(keys)) {
+            EXPECT_EQ(found.state, cache::LeaseCache::LookupState::kMiss);
+        }
+        EXPECT_EQ(c.counters().stale_drops, keys.size());
+        EXPECT_EQ(c.size(), 0u);
+
+        // A ticket captured after the bump fills live entries.
+        c.fill_many(std::vector<std::string>(keys), values, 1, c.ticket("db", "target"));
+        for (const auto& found : c.lookup_many(keys)) {
+            EXPECT_EQ(found.state, cache::LeaseCache::LookupState::kHit);
+        }
+    }
+}
+
+TEST(LeaseCacheTest, ConcurrentBatchCallsKeepBoundsAndCountFills) {
+    cache::CacheOptions opts;
+    opts.max_entries = 64;
+    opts.capacity_bytes = 2048;
+    opts.lease_ms = 60000;
+    cache::LeaseCache c(opts);
+    constexpr int kRounds = 200;
+    constexpr int kPage = 40;
+
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> inserted{0};
+    auto worker = [&](char prefix) {
+        for (int round = 0; round < kRounds; ++round) {
+            std::vector<std::string> keys;
+            std::vector<std::optional<hep::BufferView>> values;
+            for (int i = 0; i < kPage; ++i) {
+                const int n = (round * 7 + i) % 150;
+                keys.push_back(std::string(1, prefix) + std::to_string(n));
+                values.push_back(n % 5 == 0 ? std::nullopt
+                                            : std::optional(view_of(std::string(n % 40, 'x'))));
+                if (values.back()) inserted.fetch_add(1);
+            }
+            const auto t = c.ticket(round % 2 ? "db0" : "db1", "target");
+            for (const auto& found : c.lookup_many(keys)) {
+                if (found.state == cache::LeaseCache::LookupState::kHit) {
+                    EXPECT_EQ(found.value.sv().find_first_not_of('x'), std::string_view::npos);
+                }
+            }
+            c.fill_many(std::move(keys), values, 1, t);
+        }
+    };
+    std::thread a(worker, 'a');
+    std::thread b(worker, 'b');
+    std::thread invalidator([&] {
+        for (int i = 0; !done.load(); ++i) {
+            if (i % 3 == 0) c.bump_db(i % 2 ? "db0" : "db1");
+            if (i % 3 == 1) c.bump_target("target");
+            c.erase((i % 2 ? "a" : "b") + std::to_string(i % 150));
+            EXPECT_LE(c.size(), opts.max_entries);
+            EXPECT_LE(c.bytes(), opts.capacity_bytes);
+            std::this_thread::yield();
+        }
+    });
+    a.join();
+    b.join();
+    done = true;
+    invalidator.join();
+
+    EXPECT_LE(c.size(), opts.max_entries);
+    EXPECT_LE(c.bytes(), opts.capacity_bytes);
+    EXPECT_EQ(c.counters().fills, inserted.load());
 }
 
 // ------------------------------------------------------------- service level
@@ -330,6 +548,39 @@ TEST_F(CacheServiceTest, PrefetcherFillsAndUsesTheCache) {
         ASSERT_TRUE(cache.load(ev, "n", n));
     });
     EXPECT_EQ(total_product_gets(service_), wire_before);
+}
+
+TEST_F(CacheServiceTest, ParallelEventProcessorSecondPassIssuesNoProductGets) {
+    DataSet ds = store_.createDataSet("ct/pep");
+    for (std::uint64_t s = 0; s < 2; ++s) {
+        auto sr = ds.createRun(1).createSubRun(s);
+        for (std::uint64_t e = 0; e < 24; ++e) sr.createEvent(e).store("n", s * 100 + e);
+    }
+    auto pass = [&] {
+        std::atomic<std::uint64_t> sum{0};
+        std::atomic<std::uint64_t> from_prefetch{0};
+        mpisim::run_ranks(2, [&](mpisim::Comm& comm) {
+            ParallelEventProcessor pep(store_, comm, {16, 4, 0});
+            pep.prefetch<std::uint64_t>("n");
+            pep.process(ds, [&](const Event& ev, const ProductCache& cache) {
+                std::uint64_t n = 0;
+                if (cache.load(ev, "n", n)) from_prefetch.fetch_add(1);
+                sum.fetch_add(n);
+            });
+        });
+        EXPECT_EQ(from_prefetch.load(), 48u);
+        EXPECT_EQ(sum.load(), 24u * 23u / 2u + 24u * 100u + 24u * 23u / 2u);
+    };
+    pass();
+    EXPECT_GE(store_.impl()->product_cache()->counters().fills, 48u);
+
+    // The dataset fits in the cache and the lease has not run out: the
+    // second pass prefetches every product from the client cache.
+    const std::uint64_t wire_before = total_product_gets(service_);
+    const auto hits_before = store_.impl()->product_cache()->counters().hits;
+    pass();
+    EXPECT_EQ(total_product_gets(service_), wire_before);
+    EXPECT_EQ(store_.impl()->product_cache()->counters().hits - hits_before, 48u);
 }
 
 // ------------------------------------------------- lease expiry (service)
