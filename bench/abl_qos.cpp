@@ -92,9 +92,9 @@ ModeResult run_mode(bool qos_on) {
     // Pre-populate the hot keys the interactive tenant reads.
     const std::string value(kValueBytes, 'v');
     {
-        std::vector<yokan::KeyValue> hot;
+        std::vector<yokan::BatchItem> hot;
         for (std::size_t i = 0; i < kHotKeys; ++i) {
-            hot.push_back({"hot-" + std::to_string(i), value});
+            hot.push_back({"hot-" + std::to_string(i), hep::Buffer::copy_of(value)});
         }
         auto stored = point_db.put_multi(hot, true);
         if (!stored.ok()) {
@@ -224,10 +224,10 @@ IntegrityResult run_integrity() {
     std::uint64_t local = 1469598103934665603ull;  // FNV offset basis
     char keybuf[32];
     for (std::size_t b = 0; b < kBatches; ++b) {
-        std::vector<yokan::KeyValue> batch;
+        std::vector<yokan::BatchItem> batch;
         for (std::size_t i = 0; i < kPerBatch; ++i) {
             std::snprintf(keybuf, sizeof(keybuf), "item-%05zu", b * kPerBatch + i);
-            batch.push_back({keybuf, "value-of-" + std::string(keybuf)});
+            batch.push_back({keybuf, hep::Buffer::adopt("value-of-" + std::string(keybuf))});
         }
         auto stored = db.put_multi(batch, true);
         if (!stored.ok()) {

@@ -4,13 +4,16 @@
 // Before the hep::Buffer refactor every stored product was memcpy'd at each
 // layer boundary: into the serialization archive, into the packed batch, into
 // the RPC request, out of it on the server, and finally into the backend. The
-// legacy string paths are kept (and self-instrumented through the global
-// BufferCounters), so this bench ingests the SAME serialized nova products
-// twice — once through the legacy put_multi(vector<KeyValue>) path and once
-// through the chain-based put_multi(vector<BatchItem>) path — against both
-// the map and the lsm backend, and reports bytes-memcpy'd per stored event
-// for each. Acceptance: >= 2x fewer copied bytes per event, and bit-identical
-// stored values (same keys, same bytes) after the zero-copy ingest.
+// service no longer has that path, so this bench carries it as its baseline:
+// a bench-local "abl_legacy_put_multi" handler on the service's engine pulls
+// a contiguous packed KeyValue batch with one bulk read, unpacks it and puts
+// every value. The bench ingests the SAME serialized nova products twice —
+// once through that legacy path and once through the chain-based
+// put_multi(vector<BatchItem>) path — against both the map and the lsm
+// backend, and reports bytes-memcpy'd per stored event for each (every copy
+// is counted through the global BufferCounters). Acceptance: >= 2x fewer
+// copied bytes per event, and bit-identical stored values (same keys, same
+// bytes) after the zero-copy ingest.
 // Results land in BENCH_zerocopy.json in the working directory.
 #include <benchmark/benchmark.h>
 
@@ -47,6 +50,75 @@ CopyDelta operator-(const CopyDelta& a, const CopyDelta& b) {
             a.allocations - b.allocations};
 }
 
+/// Legacy batched put request, with the wire layout the service used to
+/// accept: the packed (klen, vlen, key, value)* batch lives in a
+/// client-exposed region.
+struct LegacyPutMultiReq {
+    std::string db;
+    rpc::BulkRef bulk;
+    std::uint64_t count = 0;
+    std::uint64_t bytes = 0;  // packed size
+    bool overwrite = true;
+    std::uint32_t epoch = 0;
+    template <typename A>
+    void serialize(A& ar, unsigned) {
+        ar & db & bulk & count & bytes & overwrite & epoch;
+    }
+};
+
+constexpr rpc::ProviderId kLegacyProvider = 77;  // not used by the service
+constexpr std::string_view kLegacyPutMulti = "abl_legacy_put_multi";
+
+/// Server half of the legacy path: one bulk pull into a fresh string, then
+/// unpack and store each value as a view into the adopted pull buffer.
+void register_legacy_put_multi(bedrock::ServiceProcess& service) {
+    yokan::Provider* provider = service.find_provider(1);
+    service.engine().define_with_context(
+        kLegacyPutMulti, kLegacyProvider,
+        [provider](const std::string& payload, rpc::RequestContext& ctx) -> Result<std::string> {
+            LegacyPutMultiReq req;
+            try {
+                serial::from_string(payload, req);
+            } catch (const serial::SerializationError& e) {
+                return Status::InvalidArgument(e.what());
+            }
+            yokan::Database* db = provider->find_database(req.db);
+            if (db == nullptr) return Status::NotFound("no database " + req.db);
+            std::string packed(req.bytes, '\0');
+            Status st = ctx.bulk_get(req.bulk, 0, packed.data(), req.bytes);
+            if (!st.ok()) return st;
+            const hep::Buffer packed_buf = hep::Buffer::adopt(std::move(packed));
+            const char* base = packed_buf.view().sv().data();
+            yokan::proto::PutMultiResp resp;
+            const bool well_formed = yokan::proto::unpack_entries(
+                packed_buf.view().sv(), [&](std::string_view k, std::string_view v) {
+                    const auto offset = static_cast<std::size_t>(v.data() - base);
+                    Status put_st = db->put_stamped(k, packed_buf.view(offset, v.size()),
+                                                    req.overwrite, req.epoch);
+                    if (put_st.ok()) ++resp.stored;
+                    else if (put_st.code() == StatusCode::kAlreadyExists) ++resp.already_existed;
+                });
+            if (!well_formed) return Status::InvalidArgument("malformed packed batch");
+            return serial::to_string(resp);
+        });
+}
+
+/// Client half: pack the batch into one contiguous string, expose it, call.
+Result<std::uint64_t> legacy_put_multi(margo::Engine& engine, const yokan::DatabaseHandle& db,
+                                       const std::vector<yokan::KeyValue>& items) {
+    std::string packed;
+    yokan::proto::pack_entries(packed, items);
+    rpc::BulkRef bulk = engine.endpoint().expose(packed.data(), packed.size());
+    auto raw = engine.endpoint().call(
+        db.server(), kLegacyPutMulti, kLegacyProvider,
+        serial::to_string(LegacyPutMultiReq{db.name(), bulk, items.size(), packed.size()}));
+    engine.endpoint().unexpose(bulk);
+    if (!raw.ok()) return raw.status();
+    yokan::proto::PutMultiResp resp;
+    serial::from_string(*raw, resp);
+    return resp.stored;
+}
+
 struct LiveService {
     LiveService() {
         lsm_path = (std::filesystem::temp_directory_path() / "abl_zerocopy_lsm").string();
@@ -64,6 +136,7 @@ struct LiveService {
              "role": "products"}]}}]
         })");
         service = bedrock::ServiceProcess::create(network, *cfg).value();
+        register_legacy_put_multi(*service);
         store = hepnos::DataStore::connect(network, service->descriptor());
     }
     rpc::Network network;
@@ -103,9 +176,9 @@ struct ModeResult {
 
 /// Legacy pipeline, exactly what the pre-refactor ingest did per product:
 /// serialize into a contiguous string, pack KeyValue batches into one
-/// contiguous buffer ("yokan_put_multi"), bulk transfer, unpack, string puts
-/// into the backend. Every stage re-copies the value bytes.
-ModeResult ingest_legacy(const yokan::DatabaseHandle& db,
+/// contiguous buffer, bulk transfer, unpack, puts into the backend. Every
+/// stage re-copies the value bytes.
+ModeResult ingest_legacy(margo::Engine& engine, const yokan::DatabaseHandle& db,
                          const std::vector<std::vector<nova::Slice>>& products,
                          std::size_t batch) {
     hep::reset_buffer_counters();
@@ -114,7 +187,7 @@ ModeResult ingest_legacy(const yokan::DatabaseHandle& db,
     for (std::size_t i = 0; i < products.size(); ++i) {
         items.push_back(yokan::KeyValue{event_key(i), serial::to_string(products[i])});
         if (items.size() == batch || i + 1 == products.size()) {
-            auto r = db.put_multi(items, /*overwrite=*/true);
+            auto r = legacy_put_multi(engine, db, items);
             if (!r.ok()) std::printf("ERROR: legacy put_multi: %s\n", r.status().to_string().c_str());
             items.clear();
         }
@@ -192,7 +265,7 @@ void print_reproduction() {
 
         // Legacy first; the zero-copy pass then overwrites the SAME keys, so
         // the final database contents must equal the source bytes anyway.
-        const ModeResult legacy = ingest_legacy(db, products, kBatch);
+        const ModeResult legacy = ingest_legacy(impl.engine(), db, products, kBatch);
         const ModeResult zc = ingest_zerocopy(db, products, kBatch);
         const bool identical = verify_bit_identical(db, products);
         all_identical = all_identical && identical;

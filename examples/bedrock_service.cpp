@@ -68,13 +68,13 @@ int main() {
     (void)events.put("raw-key", "raw-value");
     std::printf("\nYokan layer: put/get over RPC -> '%s'\n", events.get("raw-key")->c_str());
 
-    std::vector<yokan::KeyValue> batch;
+    std::vector<yokan::BatchItem> batch;
     for (int i = 0; i < 1000; ++i) {
-        batch.push_back({"bulk-key-" + std::to_string(i), "v"});
+        batch.push_back({"bulk-key-" + std::to_string(i), hep::Buffer::copy_of("v")});
     }
     auto stored = events.put_multi(batch);
     const auto stats = network.stats();
-    std::printf("Yokan bulk layer: put_multi stored %llu pairs — %llu RPC messages, "
+    std::printf("Yokan batch layer: put_multi stored %llu pairs — %llu RPC messages, "
                 "%llu bulk transfer(s), %llu bulk bytes so far\n",
                 static_cast<unsigned long long>(*stored),
                 static_cast<unsigned long long>(stats.messages),

@@ -133,7 +133,7 @@ class ServiceProcess {
     [[nodiscard]] cache::Provider* find_cache_provider(rpc::ProviderId id);
 
     /// Monitoring registry, if the config enabled a "monitoring" section
-    /// (null otherwise). Remote access goes through symbio::fetch.
+    /// (null otherwise). Remote access goes through symbio::fetch_all.
     [[nodiscard]] symbio::MetricsRegistry* metrics() noexcept { return registry_.get(); }
 
     /// Admission controller, if the config enabled a "qos" section.

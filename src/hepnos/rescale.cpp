@@ -41,7 +41,7 @@ Result<RescaleStats> migrate_from(DataStoreImpl& impl, Role role, std::size_t so
     // Collect the full moving set first so migration does not race the scan
     // cursor. Container values are empty, so keys are all we need; the
     // datasets role also carries UUID values — use keyvals uniformly.
-    std::vector<std::vector<yokan::KeyValue>> outbound(impl.database_count(role));
+    std::vector<std::vector<yokan::BatchItem>> outbound(impl.database_count(role));
     std::string after;
     while (true) {
         auto page = source.list_keyvals(after, "", batch_size);
@@ -54,7 +54,8 @@ Result<RescaleStats> migrate_from(DataStoreImpl& impl, Role role, std::size_t so
             if (!parent.ok()) return parent.status();
             const std::size_t owner = impl.locate_index(role, *parent);
             if (may_keep && owner == source_index) continue;
-            outbound[owner].push_back(std::move(kv));
+            outbound[owner].push_back(
+                yokan::BatchItem{std::move(kv.key), hep::Buffer::adopt(std::move(kv.value))});
         }
         if (page->size() < batch_size) break;
     }
@@ -66,8 +67,8 @@ Result<RescaleStats> migrate_from(DataStoreImpl& impl, Role role, std::size_t so
         if (items.empty()) continue;
         for (std::size_t start = 0; start < items.size(); start += batch_size) {
             const std::size_t end = std::min(start + batch_size, items.size());
-            std::vector<yokan::KeyValue> chunk(items.begin() + static_cast<long>(start),
-                                               items.begin() + static_cast<long>(end));
+            std::vector<yokan::BatchItem> chunk(items.begin() + static_cast<long>(start),
+                                                items.begin() + static_cast<long>(end));
             auto stored = impl.databases(role)[dest]
                               .with_class(qos::kClassBulk)
                               .put_multi(chunk, /*overwrite=*/true);

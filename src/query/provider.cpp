@@ -314,7 +314,7 @@ void QueryProvider::maybe_spawn_prefetch(const std::shared_ptr<Cursor>& c) {
 
 void QueryProvider::evaluate_blob_record(Cursor& c, std::string_view key,
                                          std::string_view value, Page& page,
-                                         std::vector<yokan::KeyValue>& writebacks) {
+                                         std::vector<yokan::BatchItem>& writebacks) {
     page.bytes_scanned += value.size();
     page.events_examined += 1;
     std::vector<std::uint32_t> accepted;
@@ -345,9 +345,25 @@ void QueryProvider::evaluate_blob_record(Cursor& c, std::string_view key,
     if (c.spec.write_selected) {
         std::string wkey(key.substr(0, kEventKeyBytes));
         wkey += c.selected_suffix;
-        writebacks.push_back(yokan::KeyValue{std::move(wkey), serial::to_string(accepted)});
+        writebacks.push_back(yokan::BatchItem{std::move(wkey), serial::to_buffer(accepted)});
     }
     page.entries.push_back(std::move(entry));
+}
+
+Status QueryProvider::apply_writebacks(const Cursor& c,
+                                       std::vector<yokan::BatchItem>& writebacks) {
+    if (writebacks.empty()) return Status::OK();
+    // Mutations route through the replica group when one is configured,
+    // like any other write the provider accepts.
+    replica::ReplicaSet* rs = databases_.find_replica_set(c.db_name);
+    for (auto& item : writebacks) {
+        Status st = rs ? rs->put(item.key, std::move(item.value), /*overwrite=*/true)
+                       : c.db->put_view(item.key, item.value.view(), /*overwrite=*/true);
+        if (!st.ok()) return st;
+    }
+    stats_.writebacks.fetch_add(writebacks.size(), std::memory_order_relaxed);
+    writebacks.clear();
+    return Status::OK();
 }
 
 Result<Page> QueryProvider::produce_page(Cursor& c) {
@@ -363,7 +379,7 @@ Result<Page> QueryProvider::produce_page(Cursor& c) {
     // Write-backs buffered per chunk: both backends hold their reader lock
     // for the whole scan, so a put() from inside the scan callback would
     // deadlock. Applying between chunks keeps the scan lock-free of writers.
-    std::vector<yokan::KeyValue> writebacks;
+    std::vector<yokan::BatchItem> writebacks;
 
     while (page.entries.size() < c.page_entries && !c.done) {
         auto chunk = c.db->scan_chunk_at(
@@ -382,18 +398,7 @@ Result<Page> QueryProvider::produce_page(Cursor& c) {
         if (!chunk->last_key.empty()) c.pos = chunk->last_key;
         if (chunk->exhausted) c.done = true;
 
-        if (!writebacks.empty()) {
-            // Mutations route through the replica group when one is
-            // configured, like any other write the provider accepts.
-            replica::ReplicaSet* rs = databases_.find_replica_set(c.db_name);
-            for (const auto& kv : writebacks) {
-                Status st = rs ? rs->put(kv.key, kv.value, /*overwrite=*/true)
-                               : c.db->put(kv.key, kv.value, /*overwrite=*/true);
-                if (!st.ok()) return st;
-            }
-            stats_.writebacks.fetch_add(writebacks.size(), std::memory_order_relaxed);
-            writebacks.clear();
-        }
+        if (Status st = apply_writebacks(c, writebacks); !st.ok()) return st;
     }
 
     page.resume_key = c.pos;
@@ -415,19 +420,7 @@ Result<Page> QueryProvider::produce_page_columnar(Cursor& c) {
         return page;
     }
 
-    std::vector<yokan::KeyValue> writebacks;
-    auto apply_writebacks = [&]() -> Status {
-        if (writebacks.empty()) return Status::OK();
-        replica::ReplicaSet* rs = databases_.find_replica_set(c.db_name);
-        for (const auto& kv : writebacks) {
-            Status st = rs ? rs->put(kv.key, kv.value, /*overwrite=*/true)
-                           : c.db->put(kv.key, kv.value, /*overwrite=*/true);
-            if (!st.ok()) return st;
-        }
-        stats_.writebacks.fetch_add(writebacks.size(), std::memory_order_relaxed);
-        writebacks.clear();
-        return Status::OK();
-    };
+    std::vector<yokan::BatchItem> writebacks;
 
     while (page.entries.size() < c.page_entries && !c.done) {
         if (c.phase == Cursor::Phase::kChunks) {
@@ -464,7 +457,7 @@ Result<Page> QueryProvider::produce_page_columnar(Cursor& c) {
                 if (!chunk->last_key.empty()) c.chunk_pos = chunk->last_key;
                 if (chunk->exhausted) c.phase = Cursor::Phase::kBlobs;
             }
-            if (Status st = apply_writebacks(); !st.ok()) return st;
+            if (Status st = apply_writebacks(c, writebacks); !st.ok()) return st;
         } else {
             // Blob phase: serve everything the chunks did not cover. With a
             // non-empty covered set the scan moves keys only and the few
@@ -500,7 +493,7 @@ Result<Page> QueryProvider::produce_page_columnar(Cursor& c) {
             }
             if (!chunk->last_key.empty()) c.pos = chunk->last_key;
             if (chunk->exhausted) c.done = true;
-            if (Status st = apply_writebacks(); !st.ok()) return st;
+            if (Status st = apply_writebacks(c, writebacks); !st.ok()) return st;
         }
     }
 
@@ -515,7 +508,7 @@ Result<Page> QueryProvider::produce_page_columnar(Cursor& c) {
 }
 
 Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page& page,
-                                    std::vector<yokan::KeyValue>& writebacks) {
+                                    std::vector<yokan::BatchItem>& writebacks) {
     std::string_view uuid;
     std::uint64_t chunk_id = 0;
     if (!columnar::parse_meta_key(meta_key, c.suffix, uuid, chunk_id)) return Status::OK();
@@ -661,7 +654,7 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
         stats_.rows_accepted.fetch_add(accepted.size(), std::memory_order_relaxed);
         if (c.spec.write_selected) {
             writebacks.push_back(
-                yokan::KeyValue{ckeys[i] + c.selected_suffix, serial::to_string(accepted)});
+                yokan::BatchItem{ckeys[i] + c.selected_suffix, serial::to_buffer(accepted)});
         }
         page.entries.push_back(std::move(entry));
     }

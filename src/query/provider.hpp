@@ -111,10 +111,13 @@ class QueryProvider final : public margo::Provider {
     /// Fetch, decode and evaluate one column chunk, appending accepted
     /// entries; falls back to blob point reads when columns are unusable.
     Status process_chunk(Cursor& c, const std::string& meta_key, proto::Page& page,
-                         std::vector<yokan::KeyValue>& writebacks);
+                         std::vector<yokan::BatchItem>& writebacks);
     /// Decode one blob product record and append its entry if rows pass.
     void evaluate_blob_record(Cursor& c, std::string_view key, std::string_view value,
-                              proto::Page& page, std::vector<yokan::KeyValue>& writebacks);
+                              proto::Page& page, std::vector<yokan::BatchItem>& writebacks);
+    /// Store buffered write-backs (through the replica group when the
+    /// database has one) and clear the buffer.
+    Status apply_writebacks(const Cursor& c, std::vector<yokan::BatchItem>& writebacks);
     /// Re-derive the covered-event set from chunk metadata at open time —
     /// what makes columnar cursors as disposable as blob ones. `upto` bounds
     /// the rebuild for resumes that land mid-chunk-phase ("" = all chunks).

@@ -78,11 +78,6 @@ class ReplicaSet {
     /// rides the replication record.
     Status put(std::string_view key, hep::Buffer value, bool overwrite,
                std::uint32_t epoch = 0);
-    /// Compatibility shim: copies `value` into owned storage first.
-    Status put(std::string_view key, std::string_view value, bool overwrite,
-               std::uint32_t epoch = 0) {
-        return put(key, hep::Buffer::copy_of(value), overwrite, epoch);
-    }
     Status erase(std::string_view key);
     /// One write-batch flush: `packed` is the wire format of the yokan bulk
     /// protocol and replicates as ONE record. The buffer is shared, not
@@ -91,12 +86,6 @@ class ReplicaSet {
     Result<std::pair<std::uint64_t, std::uint64_t>> put_packed(hep::Buffer packed,
                                                                bool overwrite,
                                                                std::uint32_t epoch = 0);
-    /// Compatibility shim: copies `packed` into owned storage first.
-    Result<std::pair<std::uint64_t, std::uint64_t>> put_packed(const std::string& packed,
-                                                               bool overwrite,
-                                                               std::uint32_t epoch = 0) {
-        return put_packed(hep::Buffer::copy_of(packed), overwrite, epoch);
-    }
     Result<std::uint64_t> erase_multi(const std::vector<std::string>& keys);
 
     // ---- replication protocol (provider RPC handlers call these) ----------

@@ -10,7 +10,7 @@
 // A MetricsRegistry holds named counters, gauges and log2-bucketed latency
 // histograms, plus pull-based "sources" (closures snapshotting a subsystem,
 // e.g. a Yokan database's BackendStats). A symbio::Provider exposes the
-// registry over RPC so operators can poll any service process; symbio::fetch
+// registry over RPC so operators can poll any service process; symbio::fetch_all
 // is the client side.
 #pragma once
 

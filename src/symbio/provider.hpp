@@ -2,13 +2,13 @@
 // client can poll a service process for its live metrics.
 //
 // The "symbio_fetch" RPC dispatches on its request payload:
-//   ""               — legacy full snapshot (kept for old pollers)
 //   "stats_all"      — merged snapshot: every counter/gauge/histogram and
 //                      every registered source in one blob, plus the
 //                      serving process identity ("server", "sources_n") so
 //                      a scraper can tell which process answered
 //   "source:<name>"  — just that source's snapshot (cheap: other source
 //                      closures are not evaluated)
+// Any other payload, the empty one included, is InvalidArgument.
 #pragma once
 
 #include <memory>
@@ -26,7 +26,6 @@ class Provider final : public margo::Provider {
         : margo::Provider(engine, id), registry_(std::move(registry)) {
         engine_.define_raw(
             "symbio_fetch", id_, [this](const std::string& request) -> Result<std::string> {
-                if (request.empty()) return registry_->snapshot().dump();
                 if (request == "stats_all") {
                     json::Value out = registry_->snapshot();
                     out["server"] = engine_.address();
@@ -53,16 +52,8 @@ class Provider final : public margo::Provider {
     std::shared_ptr<MetricsRegistry> registry_;
 };
 
-/// Client side: poll a remote registry (legacy full snapshot).
-inline Result<json::Value> fetch(margo::Engine& engine, const std::string& server,
-                                 rpc::ProviderId provider_id) {
-    auto raw = engine.endpoint().call(server, "symbio_fetch", provider_id, "");
-    if (!raw.ok()) return raw.status();
-    return json::parse(*raw);
-}
-
-/// Merged one-RPC snapshot of everything the server registered, stamped with
-/// the server identity.
+/// Client side: merged one-RPC snapshot of everything the server
+/// registered, stamped with the server identity.
 inline Result<json::Value> fetch_all(margo::Engine& engine, const std::string& server,
                                      rpc::ProviderId provider_id) {
     auto raw = engine.endpoint().call(server, "symbio_fetch", provider_id, "stats_all");

@@ -18,6 +18,32 @@ std::uint32_t parse_publish_marker(std::string_view key) {
     return decode_be32(key.data() + kPublishMarkerPrefix.size());
 }
 
+Result<std::string> Database::get(std::string_view key) {
+    auto r = get_stamped(key);
+    if (!r.ok()) return r.status();
+    hep::count_buffer_copy(r->first.size());
+    return std::string(r->first.sv());
+}
+
+Result<hep::BufferView> Database::get_view(std::string_view key) {
+    auto r = get_stamped(key);
+    if (!r.ok()) return r.status();
+    return std::move(r->first);
+}
+
+Result<bool> Database::exists(std::string_view key) {
+    auto r = get_stamped(key);
+    if (r.ok()) return true;
+    if (r.status().code() == StatusCode::kNotFound) return false;
+    return r.status();
+}
+
+Result<std::uint64_t> Database::length(std::string_view key) {
+    auto r = get_stamped(key);
+    if (!r.ok()) return r.status();
+    return static_cast<std::uint64_t>(r->first.size());
+}
+
 ReadView Database::snapshot_at(std::uint64_t seq) const {
     ReadView view;
     view.seq = seq == 0 ? seq_.current() : seq;

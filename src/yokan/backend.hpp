@@ -29,6 +29,7 @@
 
 namespace hep::yokan {
 
+/// One listed or scanned pair, with owned strings (list/scan responses).
 struct KeyValue {
     std::string key;
     std::string value;
@@ -40,9 +41,9 @@ struct KeyValue {
     bool operator==(const KeyValue&) const = default;
 };
 
-/// One batch entry on the zero-copy path: the value is a refcounted Buffer so
-/// building/shipping/storing a batch shares the product bytes instead of
-/// copying them (KeyValue is the legacy copying equivalent).
+/// One put_multi entry: the value is a refcounted Buffer so building,
+/// shipping and storing a batch share the product bytes instead of copying
+/// them.
 struct BatchItem {
     std::string key;
     hep::Buffer value;
@@ -142,39 +143,67 @@ class Database {
   public:
     virtual ~Database() = default;
 
-    /// Store a key/value pair. With overwrite=false, an existing key is an
-    /// AlreadyExists error (used for "create" semantics).
-    virtual Status put(std::string_view key, std::string_view value, bool overwrite = true) = 0;
+    // ---- the stamped core: every backend implements exactly these ---------
 
-    /// Store an owned view by adopting the reference (no value copy on
-    /// backends that support it). `value` must be owning — callers hold
-    /// anchored views into the request frame or the product Buffer.
-    virtual Status put_view(std::string_view key, hep::BufferView value,
-                            bool overwrite = true) {
-        return put(key, value.sv(), overwrite);
-    }
+    /// Store `value` tagged with an ingest epoch (0 = visible immediately);
+    /// the backend stamps it with the next database sequence number. With
+    /// overwrite=false an existing key is AlreadyExists ("create" semantics).
+    /// A borrowed `value` is copied into backend-owned storage; an owning one
+    /// may be parked by reference.
+    virtual Status put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
+                               std::uint32_t epoch) = 0;
 
-    virtual Result<std::string> get(std::string_view key) = 0;
+    /// Newest version of the key together with its stamp. No visibility
+    /// filtering — that is get_view_at()'s job.
+    virtual Result<std::pair<hep::BufferView, Stamp>> get_stamped(std::string_view key) = 0;
 
-    /// Fetch the value as a refcounted view (backends that store views hand
-    /// back the stored buffer without copying).
-    virtual Result<hep::BufferView> get_view(std::string_view key) {
-        Result<std::string> r = get(key);
-        if (!r.ok()) return r.status();
-        return hep::BufferView(hep::Buffer::adopt(std::move(r.value())));
-    }
+    /// Ordered scan with each key's stamp: visit keys strictly greater than
+    /// `after` that start with `prefix`, in lexicographic order, until `fn`
+    /// returns false or the key space is exhausted. `value` is only
+    /// materialized if `with_values`.
+    using StampedScanFn =
+        std::function<bool(std::string_view key, std::string_view value, const Stamp& stamp)>;
+    virtual Status scan_stamped(std::string_view after, std::string_view prefix,
+                                bool with_values, const StampedScanFn& fn) = 0;
 
-    virtual Result<bool> exists(std::string_view key) = 0;
-    /// Value size without fetching the value.
-    virtual Result<std::uint64_t> length(std::string_view key) = 0;
     virtual Status erase(std::string_view key) = 0;
 
-    /// Ordered scan: visit keys strictly greater than `after` that start with
-    /// `prefix`, in lexicographic order, until `fn` returns false or the key
-    /// space is exhausted. `value` is only materialized if `with_values`.
+    /// Approximate number of live keys.
+    virtual std::uint64_t size() const = 0;
+
+    /// Persist buffered state (no-op for in-memory backends).
+    virtual Status flush() = 0;
+
+    [[nodiscard]] virtual std::string_view type() const noexcept = 0;
+    [[nodiscard]] virtual BackendStats stats() const = 0;
+
+    // ---- unfiltered helpers over the core ----------------------------------
+
+    /// Contiguous put: the backend copies the borrowed bytes.
+    Status put(std::string_view key, std::string_view value, bool overwrite = true) {
+        return put_stamped(key, hep::BufferView(value), overwrite, 0);
+    }
+    /// Put an owned view by reference (no value copy).
+    Status put_view(std::string_view key, hep::BufferView value, bool overwrite = true) {
+        return put_stamped(key, std::move(value), overwrite, 0);
+    }
+    /// Copying get (the copy is counted in the buffer counters).
+    Result<std::string> get(std::string_view key);
+    /// The stored value as a refcounted view, without copying.
+    Result<hep::BufferView> get_view(std::string_view key);
+    Result<bool> exists(std::string_view key);
+    /// Value size without copying the value.
+    Result<std::uint64_t> length(std::string_view key);
+
     using ScanFn = std::function<bool(std::string_view key, std::string_view value)>;
-    virtual Status scan(std::string_view after, std::string_view prefix, bool with_values,
-                        const ScanFn& fn) = 0;
+    /// scan_stamped() without the stamps.
+    Status scan(std::string_view after, std::string_view prefix, bool with_values,
+                const ScanFn& fn) {
+        return scan_stamped(after, prefix, with_values,
+                            [&fn](std::string_view key, std::string_view value, const Stamp&) {
+                                return fn(key, value);
+                            });
+    }
 
     /// Convenience wrappers over scan().
     Result<std::vector<std::string>> list_keys(std::string_view after, std::string_view prefix,
@@ -201,43 +230,7 @@ class Database {
     Result<ScanChunk> scan_chunk(std::string_view after, std::string_view prefix,
                                  std::uint64_t max_keys, bool with_values, const ScanFn& fn);
 
-    /// Approximate number of live keys.
-    virtual std::uint64_t size() const = 0;
-
-    /// Persist buffered state (no-op for in-memory backends).
-    virtual Status flush() = 0;
-
-    [[nodiscard]] virtual std::string_view type() const noexcept = 0;
-    [[nodiscard]] virtual BackendStats stats() const = 0;
-
-    // ---- MVCC: stamps, snapshots, published epochs ------------------------
-
-    /// Store with an explicit ingest epoch; the backend stamps the value with
-    /// the next database sequence number. Epoch 0 = visible immediately.
-    virtual Status put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
-                               std::uint32_t epoch) {
-        (void)epoch;
-        return put_view(key, std::move(value), overwrite);
-    }
-
-    /// Newest version of the key together with its stamp. No visibility
-    /// filtering — that is get_view_at()'s job.
-    virtual Result<std::pair<hep::BufferView, Stamp>> get_stamped(std::string_view key) {
-        Result<hep::BufferView> r = get_view(key);
-        if (!r.ok()) return r.status();
-        return std::make_pair(std::move(r.value()), Stamp{});
-    }
-
-    using StampedScanFn =
-        std::function<bool(std::string_view key, std::string_view value, const Stamp& stamp)>;
-    /// scan() with each key's stamp; same ordering and resume contract.
-    virtual Status scan_stamped(std::string_view after, std::string_view prefix,
-                                bool with_values, const StampedScanFn& fn) {
-        return scan(after, prefix, with_values,
-                    [&](std::string_view key, std::string_view value) {
-                        return fn(key, value, Stamp{});
-                    });
-    }
+    // ---- MVCC: sequence, snapshots, published epochs ----------------------
 
     /// This database's sequence authority.
     [[nodiscard]] SeqSource& seq_source() noexcept { return seq_; }

@@ -4,18 +4,6 @@ namespace hep::yokan {
 
 using namespace proto;
 
-Status DatabaseHandle::put(std::string_view key, std::string_view value, bool overwrite,
-                           std::uint32_t epoch) const {
-    auto r = with_failover<Ack>(false, [&](const std::string& server, rpc::ProviderId provider,
-                                           const std::string& db) -> Result<Ack> {
-        return engine_->forward<PutReq, Ack>(
-            server, "yokan_put", provider,
-            PutReq{db, std::string(key), std::string(value), overwrite, epoch}, deadline(),
-            point_tag());
-    });
-    return r.status();
-}
-
 Status DatabaseHandle::put(std::string_view key, hep::Buffer value, bool overwrite,
                            std::uint32_t epoch) const {
     auto r = with_failover<Ack>(false, [&](const std::string& server, rpc::ProviderId provider,
@@ -164,36 +152,6 @@ Result<std::uint64_t> DatabaseHandle::erase_multi(const std::vector<std::string>
     return r->erased;
 }
 
-Result<std::uint64_t> DatabaseHandle::put_multi(const std::vector<KeyValue>& items,
-                                                bool overwrite, std::uint32_t epoch) const {
-    std::string packed;
-    std::size_t total = 0;
-    for (const auto& kv : items) total += kv.key.size() + kv.value.size() + 8;
-    packed.reserve(total);
-    for (const auto& kv : items) pack_entry(packed, kv.key, kv.value);
-
-    rpc::BulkRef bulk = engine_->endpoint().expose(packed.data(), packed.size());
-    auto r = with_failover<PutMultiResp>(
-        false, [&](const std::string& server, rpc::ProviderId provider,
-                   const std::string& db) -> Result<PutMultiResp> {
-            PutMultiReq req{db, bulk, items.size(), packed.size(), overwrite, epoch};
-            auto raw = engine_->endpoint().call(server, "yokan_put_multi", provider,
-                                                serial::to_string(req), deadline(),
-                                                bulk_tag());
-            if (!raw.ok()) return raw.status();
-            PutMultiResp resp;
-            try {
-                serial::from_string(*raw, resp);
-            } catch (const serial::SerializationError& e) {
-                return Status::Corruption(e.what());
-            }
-            return resp;
-        });
-    engine_->endpoint().unexpose(bulk);
-    if (!r.ok()) return r.status();
-    return r->stored;
-}
-
 Result<std::uint64_t> DatabaseHandle::put_multi(const std::vector<BatchItem>& items,
                                                 bool overwrite, std::uint32_t epoch) const {
     hep::BufferChain entries = pack_items(items);
@@ -207,54 +165,6 @@ Result<std::uint64_t> DatabaseHandle::put_multi(const std::vector<BatchItem>& it
         });
     if (!r.ok()) return r.status();
     return r->stored;
-}
-
-Result<std::vector<std::optional<std::string>>> DatabaseHandle::get_multi(
-    const std::vector<std::string>& keys, std::size_t buffer_hint) const {
-    std::string buffer(buffer_hint, '\0');
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        rpc::BulkRef bulk = engine_->endpoint().expose(buffer.data(), buffer.size());
-        auto r = with_failover<GetMultiResp>(
-            true, [&](const std::string& server, rpc::ProviderId provider,
-                      const std::string& db) -> Result<GetMultiResp> {
-                GetMultiReq req{db, keys, bulk, pin_};
-                auto raw = engine_->endpoint().call(server, "yokan_get_multi", provider,
-                                                    serial::to_string(req), deadline(),
-                                                    bulk_tag());
-                if (!raw.ok()) return raw.status();
-                GetMultiResp resp;
-                try {
-                    serial::from_string(*raw, resp);
-                } catch (const serial::SerializationError& e) {
-                    return Status::Corruption(e.what());
-                }
-                return resp;
-            });
-        engine_->endpoint().unexpose(bulk);
-        if (!r.ok()) return r.status();
-        const GetMultiResp& resp = *r;
-        if (resp.sizes.size() != keys.size()) {
-            return Status::Internal("get_multi size vector mismatch");
-        }
-        if (!resp.written) {
-            // Buffer was too small; retry once with the exact size.
-            buffer.assign(resp.needed, '\0');
-            continue;
-        }
-        std::vector<std::optional<std::string>> out;
-        out.reserve(keys.size());
-        std::size_t offset = 0;
-        for (std::uint32_t size : resp.sizes) {
-            if (size == kMissing) {
-                out.emplace_back(std::nullopt);
-            } else {
-                out.emplace_back(buffer.substr(offset, size));
-                offset += size;
-            }
-        }
-        return out;
-    }
-    return Status::Internal("get_multi retry with exact buffer size still failed");
 }
 
 Result<std::vector<std::optional<hep::BufferView>>> DatabaseHandle::get_multi_views(

@@ -81,15 +81,17 @@ class DatabaseHandle {
     }
     [[nodiscard]] const proto::ReadPin& snapshot() const noexcept { return pin_; }
 
-    /// Legacy contiguous put (copies `value` into the request). `epoch`
+    /// Single put ("yokan_put_owned"): the Buffer rides the request by
+    /// reference and the server parks the received bytes directly. `epoch`
     /// tags the write with an ingest epoch invisible to snapshot readers
     /// until published (0 = immediately visible).
-    Status put(std::string_view key, std::string_view value, bool overwrite = true,
-               std::uint32_t epoch = 0) const;
-    /// Zero-copy put: the Buffer rides the request by reference
-    /// ("yokan_put_owned"); the server parks the received bytes directly.
     Status put(std::string_view key, hep::Buffer value, bool overwrite = true,
                std::uint32_t epoch = 0) const;
+    /// Contiguous put: copies `value` into a Buffer, then the same RPC.
+    Status put(std::string_view key, std::string_view value, bool overwrite = true,
+               std::uint32_t epoch = 0) const {
+        return put(key, hep::Buffer::copy_of(value), overwrite, epoch);
+    }
     Result<std::string> get(std::string_view key) const;
     /// Zero-copy get: the value comes back as a view anchored to the response
     /// frame (one receive buffer, no per-value copy).
@@ -116,15 +118,10 @@ class DatabaseHandle {
     Result<proto::ScanResp> scan_page(std::string_view after, std::string_view prefix,
                                       std::size_t max = 128, bool with_values = false) const;
 
-    /// Legacy batched store: one RPC + one bulk read on the server side.
-    /// Returns the number of newly stored pairs.
-    Result<std::uint64_t> put_multi(const std::vector<KeyValue>& items,
-                                    bool overwrite = true, std::uint32_t epoch = 0) const;
-
-    /// Zero-copy batched store ("yokan_put_packed"): headers go into one
-    /// metadata buffer, the item values ride the RPC payload as referenced
-    /// views — no packing copy, no bulk round-trip. Every entry in the batch
-    /// is tagged with `epoch`.
+    /// Batched store ("yokan_put_packed"): headers go into one metadata
+    /// buffer, the item values ride the RPC payload as referenced views — no
+    /// packing copy, no bulk round-trip. Every entry in the batch is tagged
+    /// with `epoch`. Returns the number of newly stored pairs.
     Result<std::uint64_t> put_multi(const std::vector<BatchItem>& items,
                                     bool overwrite = true, std::uint32_t epoch = 0) const;
 
@@ -132,13 +129,9 @@ class DatabaseHandle {
     Result<std::uint64_t> erase_multi(const std::vector<std::string>& keys) const;
 
     /// Batched load: one RPC + one bulk write from the server (retried once
-    /// with a larger buffer if the initial estimate was too small).
-    /// Missing keys come back as nullopt.
-    Result<std::vector<std::optional<std::string>>> get_multi(
-        const std::vector<std::string>& keys, std::size_t buffer_hint = 1 << 20) const;
-
-    /// Zero-copy batched load: values land in ONE receive buffer and come
-    /// back as refcounted views into it (missing keys = nullopt). The views
+    /// with the exact size if `buffer_hint` was too small). Values land in
+    /// ONE receive buffer and come back as refcounted views into it (missing
+    /// keys = nullopt). The views
     /// share the buffer's storage, so they stay valid independently.
     /// `seq_out`, when non-null, receives the database's mutation seq sampled
     /// before the reads (so read-cache bulk fills get versioning for free).

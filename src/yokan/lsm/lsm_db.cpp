@@ -630,16 +630,6 @@ Status LsmDb::compact_level(std::size_t level) {
 
 // ------------------------------------------------------------------ writes
 
-Status LsmDb::put(std::string_view key, std::string_view value, bool overwrite) {
-    // The memtable rep copies the bytes into its arena; a non-owning view is
-    // enough (write_impl consumes it synchronously).
-    return put_stamped(key, hep::BufferView(value), overwrite, 0);
-}
-
-Status LsmDb::put_view(std::string_view key, hep::BufferView value, bool overwrite) {
-    return put_stamped(key, std::move(value), overwrite, 0);
-}
-
 Status LsmDb::put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
                           std::uint32_t epoch) {
     {
@@ -663,19 +653,6 @@ Status LsmDb::erase(std::string_view key) {
     // Tombstones grow the memtable too: erase goes through the same seal /
     // backpressure path as put so delete-heavy workloads still flush.
     return write_impl(key, std::nullopt, /*overwrite=*/true, /*is_erase=*/true, 0);
-}
-
-bool LsmDb::key_present(std::string_view key) const {
-    // Lock-free probe; see the ordering note in seal_active().
-    auto mem = active_.load(std::memory_order_acquire);
-    MemEntry e;
-    if (mem->rep->get(key, e)) return !e.tombstone;
-    auto ver = snapshot_version();
-    for (const auto& m : ver->imm) {
-        if (m->rep->get(key, e)) return !e.tombstone;
-    }
-    auto found = table_lookup(*ver, key);
-    return found.ok() && found->value.has_value();
 }
 
 void LsmDb::maybe_stall() {
@@ -721,7 +698,8 @@ Status LsmDb::write_impl(std::string_view key, std::optional<hep::BufferView> va
     {
         std::lock_guard wl(write_mutex_);
         if (is_erase || !overwrite) {
-            const bool present = key_present(key);
+            // Lock-free probe; see the ordering note in seal_active().
+            const bool present = lookup(key).ok();
             // Contract (matches the map backend): erasing a missing key is
             // NotFound; "create" semantics make an existing key AlreadyExists.
             if (is_erase && !present) return Status::NotFound(std::string(key));
@@ -915,64 +893,28 @@ Result<LsmDb::TableHit> LsmDb::table_lookup(const Version& v, std::string_view k
     return Status::NotFound(std::string(key));
 }
 
-Result<std::string> LsmDb::get(std::string_view key) {
-    {
-        std::lock_guard g(stats_mutex_);
-        ++stats_.gets;
-        if (compaction_running_.load(std::memory_order_relaxed)) {
-            ++lsm_stats_.reads_during_compaction;
-        }
-    }
+Result<std::pair<hep::BufferView, Stamp>> LsmDb::lookup(std::string_view key) const {
     // Lock-free active probe: the skiplist tolerates concurrent inserts, and
     // seal ordering guarantees any memtable this load misses is reachable
     // through the version snapshot taken next.
     auto mem = active_.load(std::memory_order_acquire);
     MemEntry e;
-    if (mem->rep->get(key, e)) {
+    auto memtable_hit = [&](const std::shared_ptr<const MemTable>& m)
+        -> Result<std::pair<hep::BufferView, Stamp>> {
         if (e.tombstone) return Status::NotFound(std::string(key));
-        hep::count_buffer_copy(e.value.size());
-        return std::string(e.value);
-    }
+        return std::make_pair(anchor_entry(m, e.value), e.stamp);  // zero-copy: pins m
+    };
+    if (mem->rep->get(key, e)) return memtable_hit(mem);
     auto ver = snapshot_version();
     for (const auto& m : ver->imm) {
-        if (m->rep->get(key, e)) {
-            if (e.tombstone) return Status::NotFound(std::string(key));
-            hep::count_buffer_copy(e.value.size());
-            return std::string(e.value);
-        }
-    }
-    auto found = table_lookup(*ver, key);
-    if (!found.ok()) return found.status();
-    if (!found->value.has_value()) return Status::NotFound(std::string(key));
-    return std::move(*found->value);
-}
-
-Result<hep::BufferView> LsmDb::get_view(std::string_view key) {
-    {
-        std::lock_guard g(stats_mutex_);
-        ++stats_.gets;
-        if (compaction_running_.load(std::memory_order_relaxed)) {
-            ++lsm_stats_.reads_during_compaction;
-        }
-    }
-    auto mem = active_.load(std::memory_order_acquire);
-    MemEntry e;
-    if (mem->rep->get(key, e)) {
-        if (e.tombstone) return Status::NotFound(std::string(key));
-        return anchor_entry(mem, e.value);  // zero-copy: pins the memtable
-    }
-    auto ver = snapshot_version();
-    for (const auto& m : ver->imm) {
-        if (m->rep->get(key, e)) {
-            if (e.tombstone) return Status::NotFound(std::string(key));
-            return anchor_entry(m, e.value);
-        }
+        if (m->rep->get(key, e)) return memtable_hit(m);
     }
     auto found = table_lookup(*ver, key);
     if (!found.ok()) return found.status();
     if (!found->value.has_value()) return Status::NotFound(std::string(key));
     // Table values materialize from disk/cache as a fresh string; adopt it.
-    return hep::BufferView(hep::Buffer::adopt(std::move(*found->value)));
+    return std::make_pair(hep::BufferView(hep::Buffer::adopt(std::move(*found->value))),
+                          found->stamp);
 }
 
 Result<std::pair<hep::BufferView, Stamp>> LsmDb::get_stamped(std::string_view key) {
@@ -983,46 +925,7 @@ Result<std::pair<hep::BufferView, Stamp>> LsmDb::get_stamped(std::string_view ke
             ++lsm_stats_.reads_during_compaction;
         }
     }
-    auto mem = active_.load(std::memory_order_acquire);
-    MemEntry e;
-    if (mem->rep->get(key, e)) {
-        if (e.tombstone) return Status::NotFound(std::string(key));
-        return std::make_pair(anchor_entry(mem, e.value), e.stamp);
-    }
-    auto ver = snapshot_version();
-    for (const auto& m : ver->imm) {
-        if (m->rep->get(key, e)) {
-            if (e.tombstone) return Status::NotFound(std::string(key));
-            return std::make_pair(anchor_entry(m, e.value), e.stamp);
-        }
-    }
-    auto found = table_lookup(*ver, key);
-    if (!found.ok()) return found.status();
-    if (!found->value.has_value()) return Status::NotFound(std::string(key));
-    return std::make_pair(hep::BufferView(hep::Buffer::adopt(std::move(*found->value))),
-                          found->stamp);
-}
-
-Result<bool> LsmDb::exists(std::string_view key) {
-    {
-        std::lock_guard g(stats_mutex_);
-        ++stats_.gets;
-    }
-    return key_present(key);
-}
-
-Result<std::uint64_t> LsmDb::length(std::string_view key) {
-    auto v = get(key);
-    if (!v.ok()) return v.status();
-    return static_cast<std::uint64_t>(v->size());
-}
-
-Status LsmDb::scan(std::string_view after, std::string_view prefix, bool with_values,
-                   const ScanFn& fn) {
-    return scan_stamped(after, prefix, with_values,
-                        [&fn](std::string_view key, std::string_view value, const Stamp&) {
-                            return fn(key, value);
-                        });
+    return lookup(key);
 }
 
 Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool with_values,

@@ -117,20 +117,12 @@ class LsmDb final : public Database {
     static Result<std::unique_ptr<LsmDb>> open(LsmOptions options);
     ~LsmDb() override;
 
-    Status put(std::string_view key, std::string_view value, bool overwrite) override;
-    Status put_view(std::string_view key, hep::BufferView value, bool overwrite) override;
     Status put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
                        std::uint32_t epoch) override;
-    Result<std::string> get(std::string_view key) override;
-    Result<hep::BufferView> get_view(std::string_view key) override;
     Result<std::pair<hep::BufferView, Stamp>> get_stamped(std::string_view key) override;
-    Result<bool> exists(std::string_view key) override;
-    Result<std::uint64_t> length(std::string_view key) override;
-    Status erase(std::string_view key) override;
-    Status scan(std::string_view after, std::string_view prefix, bool with_values,
-                const ScanFn& fn) override;
     Status scan_stamped(std::string_view after, std::string_view prefix, bool with_values,
                         const StampedScanFn& fn) override;
+    Status erase(std::string_view key) override;
     std::uint64_t size() const override;
     Status flush() override;  // seal + drain every memtable and compaction
     std::string_view type() const noexcept override { return "lsm"; }
@@ -188,7 +180,11 @@ class LsmDb final : public Database {
     /// (ordering contract of the lock-free read path).
     Status seal_active();
     Status group_sync(std::uint64_t my_seq);
-    [[nodiscard]] bool key_present(std::string_view key) const;
+
+    /// Newest version of `key`: active memtable, then the immutable queue
+    /// (newest first), then the tables. Memtable hits are views anchored to
+    /// their memtable; tombstones are NotFound. Takes no lock.
+    Result<std::pair<hep::BufferView, Stamp>> lookup(std::string_view key) const;
     void maybe_stall();
 
     // ---- background machinery

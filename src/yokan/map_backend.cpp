@@ -4,16 +4,6 @@
 
 namespace hep::yokan {
 
-Status MapBackend::put(std::string_view key, std::string_view value, bool overwrite) {
-    // Legacy contiguous path: the backend must own the bytes, so this copy is
-    // the point (and is counted by copy_of).
-    return put_view(key, hep::BufferView(hep::Buffer::copy_of(value)), overwrite);
-}
-
-Status MapBackend::put_view(std::string_view key, hep::BufferView value, bool overwrite) {
-    return put_stamped(key, std::move(value), overwrite, 0);
-}
-
 Status MapBackend::put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
                                std::uint32_t epoch) {
     hep::BufferView owned = value.to_owned();
@@ -33,43 +23,12 @@ Status MapBackend::put_stamped(std::string_view key, hep::BufferView value, bool
     return Status::OK();
 }
 
-Result<std::string> MapBackend::get(std::string_view key) {
-    std::shared_lock lock(mutex_);
-    gets_.fetch_add(1, std::memory_order_relaxed);
-    auto it = map_.find(key);
-    if (it == map_.end()) return Status::NotFound(std::string(key));
-    hep::count_buffer_copy(it->second.value.size());
-    return std::string(it->second.value.sv());
-}
-
-Result<hep::BufferView> MapBackend::get_view(std::string_view key) {
-    std::shared_lock lock(mutex_);
-    gets_.fetch_add(1, std::memory_order_relaxed);
-    auto it = map_.find(key);
-    if (it == map_.end()) return Status::NotFound(std::string(key));
-    return it->second.value;  // refcount bump only
-}
-
 Result<std::pair<hep::BufferView, Stamp>> MapBackend::get_stamped(std::string_view key) {
     std::shared_lock lock(mutex_);
     gets_.fetch_add(1, std::memory_order_relaxed);
     auto it = map_.find(key);
     if (it == map_.end()) return Status::NotFound(std::string(key));
     return std::make_pair(it->second.value, it->second.stamp);
-}
-
-Result<bool> MapBackend::exists(std::string_view key) {
-    std::shared_lock lock(mutex_);
-    gets_.fetch_add(1, std::memory_order_relaxed);
-    return map_.find(key) != map_.end();
-}
-
-Result<std::uint64_t> MapBackend::length(std::string_view key) {
-    std::shared_lock lock(mutex_);
-    gets_.fetch_add(1, std::memory_order_relaxed);
-    auto it = map_.find(key);
-    if (it == map_.end()) return Status::NotFound(std::string(key));
-    return static_cast<std::uint64_t>(it->second.value.size());
 }
 
 Status MapBackend::erase(std::string_view key) {
@@ -80,14 +39,6 @@ Status MapBackend::erase(std::string_view key) {
     map_.erase(it);
     seq_source().next();  // erases are mutations too: lease probes must see them
     return Status::OK();
-}
-
-Status MapBackend::scan(std::string_view after, std::string_view prefix, bool with_values,
-                        const ScanFn& fn) {
-    return scan_stamped(after, prefix, with_values,
-                        [&](std::string_view key, std::string_view value, const Stamp&) {
-                            return fn(key, value);
-                        });
 }
 
 Status MapBackend::scan_stamped(std::string_view after, std::string_view prefix,

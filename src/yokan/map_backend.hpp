@@ -1,8 +1,8 @@
 // In-memory backend over std::map (paper's "std::map backend", §IV-D).
 //
-// Values are stored as owned hep::BufferViews: put_view() adopts the caller's
-// refcounted bytes without copying, and get_view() hands the stored buffer
-// back by bumping a refcount. Since buffers are immutable after publish, an
+// Values are stored as owned hep::BufferViews: put_stamped() adopts the
+// caller's refcounted bytes without copying (borrowed bytes are copied once),
+// and get_stamped() hands the stored buffer back by bumping a refcount. Since buffers are immutable after publish, an
 // overwrite simply swaps the view — readers holding the old view keep valid
 // bytes.
 //
@@ -24,20 +24,12 @@ class MapBackend final : public Database {
   public:
     MapBackend() = default;
 
-    Status put(std::string_view key, std::string_view value, bool overwrite) override;
-    Status put_view(std::string_view key, hep::BufferView value, bool overwrite) override;
     Status put_stamped(std::string_view key, hep::BufferView value, bool overwrite,
                        std::uint32_t epoch) override;
-    Result<std::string> get(std::string_view key) override;
-    Result<hep::BufferView> get_view(std::string_view key) override;
     Result<std::pair<hep::BufferView, Stamp>> get_stamped(std::string_view key) override;
-    Result<bool> exists(std::string_view key) override;
-    Result<std::uint64_t> length(std::string_view key) override;
-    Status erase(std::string_view key) override;
-    Status scan(std::string_view after, std::string_view prefix, bool with_values,
-                const ScanFn& fn) override;
     Status scan_stamped(std::string_view after, std::string_view prefix, bool with_values,
                         const StampedScanFn& fn) override;
+    Status erase(std::string_view key) override;
     std::uint64_t size() const override;
     Status flush() override { return Status::OK(); }
     std::string_view type() const noexcept override { return "map"; }

@@ -1,11 +1,12 @@
 // RPC request/response types shared by the Yokan provider and client.
 //
-// Single-item operations ride inline in the RPC payload ("RPC for single
-// small objects"); multi-item operations ship their data through bulk
-// handles ("RDMA for large objects or batches of multiple objects"),
-// matching the paper's description of Yokan (§II-B).
+// One RPC per operation shape. Single-item operations ride inline in the RPC
+// payload ("RPC for single small objects", paper §II-B). Batched reads land
+// in a client-exposed region with one bulk write ("RDMA for ... batches of
+// multiple objects"); batched writes ride the payload as a scatter-gather
+// chain of referenced values.
 //
-// Packed batch format used inside bulk buffers:
+// Packed batch format (put batches, replication records):
 //   repeated (klen u32, vlen u32, key bytes, value bytes)
 #pragma once
 
@@ -47,26 +48,10 @@ struct ReadPin {
     }
 };
 
-/// Legacy single put with a contiguous std::string value. Kept as the
-/// compatibility shim (and the "before" baseline for abl_zerocopy); the
-/// zero-copy path is PutViewReq / "yokan_put_owned".
-struct PutReq {
-    std::string db;
-    std::string key;
-    std::string value;
-    bool overwrite = true;
-    std::uint32_t epoch = 0;  // 0 = immediately visible; else ingest epoch
-    template <typename A>
-    void serialize(A& ar, unsigned) {
-        ar & db & key & value & overwrite & epoch;
-    }
-};
-
-/// Zero-copy single put ("yokan_put_owned"): the value is a refcounted
-/// Buffer, so serializing the request references the product bytes instead of
-/// copying them, and the server parks the received frame slice straight into
-/// the backend via put_view(). Wire-compatible with PutReq (a Buffer
-/// serializes exactly like a std::string).
+/// Single put ("yokan_put_owned"): the value is a refcounted Buffer, so
+/// serializing the request references the product bytes instead of copying
+/// them, and the server hands the received Buffer straight to the backend.
+/// A Buffer serializes exactly like a std::string.
 struct PutViewReq {
     std::string db;
     std::string key;
@@ -215,8 +200,7 @@ struct CountResp {
 /// RPC payload as a scatter-gather chain — per-entry (klen, vlen, key)
 /// headers live in one metadata buffer, the values are referenced views of
 /// the caller's product buffers (see pack_items()). The server iterates the
-/// received chain and parks each value slice via put_view(). Replaces the
-/// expose/bulk_access round-trip of PutMultiReq on the hot ingest path.
+/// received chain and parks each value slice by reference.
 struct PutPackedReq {
     std::string db;
     std::uint64_t count = 0;
@@ -226,22 +210,6 @@ struct PutPackedReq {
     template <typename A>
     void serialize(A& ar, unsigned) {
         ar & db & count & overwrite & epoch & entries;
-    }
-};
-
-/// Legacy batched put: the packed key/value data lives in a client-exposed
-/// bulk region; the server pulls it with one RDMA read. Kept as the
-/// compatibility shim (and the "before" baseline for abl_zerocopy).
-struct PutMultiReq {
-    std::string db;
-    rpc::BulkRef bulk;
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;  // packed size
-    bool overwrite = true;
-    std::uint32_t epoch = 0;  // applied to every entry in the batch
-    template <typename A>
-    void serialize(A& ar, unsigned) {
-        ar & db & bulk & count & bytes & overwrite & epoch;
     }
 };
 

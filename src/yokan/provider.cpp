@@ -1,7 +1,6 @@
 #include "yokan/provider.hpp"
 
 #include <cctype>
-#include <cstring>
 #include <mutex>
 
 namespace hep::yokan {
@@ -197,28 +196,8 @@ void Provider::register_rpcs() {
     auto& eng = engine_;
     const auto pid = id_;
 
-    eng.define<PutReq, Ack>(
-        "yokan_put", pid,
-        [this](const PutReq& req) -> Result<Ack> {
-            auto db = resolve(req.db);
-            if (!db.ok()) return db.status();
-            Status st;
-            if (auto* rs = find_replica_set(req.db)) {
-                st = rs->put(req.key, req.value, req.overwrite, req.epoch);
-            } else if (req.epoch == 0) {
-                st = (*db)->put(req.key, req.value, req.overwrite);
-            } else {
-                st = (*db)->put_stamped(req.key,
-                                        hep::BufferView(hep::Buffer::adopt(std::string(req.value))),
-                                        req.overwrite, req.epoch);
-            }
-            if (!st.ok()) return st;
-            return Ack{};
-        },
-        pool_);
-
-    // Zero-copy single put: the request's Buffer value arrives as a view
-    // anchored to the receive frame and is parked in the backend by reference.
+    // Single put: the request's Buffer value arrives as a view anchored to
+    // the receive frame and is parked in the backend by reference.
     eng.define<PutViewReq, Ack>(
         "yokan_put_owned", pid,
         [this](const PutViewReq& req) -> Result<Ack> {
@@ -398,7 +377,7 @@ void Provider::register_rpcs() {
         },
         pool_);
 
-    // Zero-copy batched put: the packed entries ride the request payload as a
+    // Batched put: the packed entries ride the request payload as a
     // scatter-gather chain anchored to the receive frame; each value slice is
     // parked in the backend by reference. Replicated databases forward the
     // batch as ONE record.
@@ -426,48 +405,6 @@ void Provider::register_rpcs() {
                 });
             if (!well_formed) return Status::InvalidArgument("malformed packed batch");
             return resp;
-        },
-        pool_);
-
-    // Legacy batched put: pull the packed payload with one bulk read, then
-    // apply. Replicated databases forward the packed payload as ONE record.
-    eng.define_with_context(
-        "yokan_put_multi", pid,
-        [this](const std::string& payload, rpc::RequestContext& ctx) -> Result<std::string> {
-            PutMultiReq req;
-            try {
-                serial::from_string(payload, req);
-            } catch (const serial::SerializationError& e) {
-                return Status::InvalidArgument(e.what());
-            }
-            auto db = resolve(req.db);
-            if (!db.ok()) return db.status();
-            std::string packed(req.bytes, '\0');
-            Status st = ctx.bulk_get(req.bulk, 0, packed.data(), req.bytes);
-            if (!st.ok()) return st;
-            PutMultiResp resp;
-            if (auto* rs = find_replica_set(req.db)) {
-                auto counts = rs->put_packed(hep::Buffer::adopt(std::move(packed)), req.overwrite,
-                                             req.epoch);
-                if (!counts.ok()) return counts.status();
-                resp.stored = counts->first;
-                resp.already_existed = counts->second;
-                return serial::to_string(resp);
-            }
-            // Adopt the packed bytes so epoch-tagged entries can be parked as
-            // owned views without a per-value copy.
-            hep::Buffer packed_buf = hep::Buffer::adopt(std::move(packed));
-            const char* base = packed_buf.view().sv().data();
-            bool well_formed = unpack_entries(
-                packed_buf.view().sv(), [&](std::string_view k, std::string_view v) {
-                    Status put_st = (*db)->put_stamped(
-                        k, packed_buf.view(static_cast<std::size_t>(v.data() - base), v.size()),
-                        req.overwrite, req.epoch);
-                    if (put_st.ok()) ++resp.stored;
-                    else if (put_st.code() == StatusCode::kAlreadyExists) ++resp.already_existed;
-                });
-            if (!well_formed) return Status::InvalidArgument("malformed packed batch");
-            return serial::to_string(resp);
         },
         pool_);
 

@@ -670,7 +670,7 @@ TEST(CacheTierTest, MissFillHitOverLoopbackAndInvalidation) {
     EXPECT_EQ(out, v2);
 
     // Tier health is visible via symbio on each hosting process.
-    auto snap = symbio::fetch(writer.impl()->engine(), "hepnos-server-0", 99);
+    auto snap = symbio::fetch_all(writer.impl()->engine(), "hepnos-server-0", 99);
     ASSERT_TRUE(snap.ok()) << snap.status().to_string();
     EXPECT_FALSE((*snap)["sources"]["cache/90"].is_null());
 }

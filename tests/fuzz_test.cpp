@@ -22,6 +22,7 @@
 #include "yokan/lsm/memtable.hpp"
 #include "yokan/lsm/version_set.hpp"
 #include "yokan/lsm/wal.hpp"
+#include "yokan/client.hpp"
 #include "yokan/protocol.hpp"
 #include "yokan/provider.hpp"
 
@@ -561,6 +562,40 @@ TEST(ProtoFuzzTest, UnpackEntriesRejectsMalformedPacks) {
     EXPECT_EQ(seen, 2);
 }
 
+TEST(ProtoFuzzTest, RetiredPutRpcsAnswerUnimplemented) {
+    // "yokan_put" and the bulk-pull "yokan_put_multi" are gone: every write
+    // shape has one RPC. Old clients get Unimplemented — for well-formed
+    // legacy requests and garbage alike — and the provider keeps serving.
+    Rng rng(4242);
+    rpc::Network net;
+    margo::Engine server(net, "rserver", margo::EngineConfig{2});
+    margo::Engine client(net, "rclient");
+    auto cfg = json::parse(R"({"databases": [{"name": "db", "type": "map"}]})");
+    ASSERT_TRUE(cfg.ok());
+    auto provider = yokan::Provider::create(server, 1, *cfg);
+    ASSERT_TRUE(provider.ok()) << provider.status().to_string();
+
+    // PutViewReq has the retired PutReq's wire bytes.
+    const std::string legacy_put = serial::to_string(
+        yokan::proto::PutViewReq{"db", "k", hep::Buffer::copy_of("v"), true, 0});
+    for (int i = 0; i < 50; ++i) {
+        for (const char* rpc_name : {"yokan_put", "yokan_put_multi"}) {
+            const std::string payload = i == 0 ? legacy_put : random_bytes(rng, 128);
+            auto r = client.endpoint().call("rserver", rpc_name, 1, payload);
+            ASSERT_FALSE(r.ok()) << rpc_name;
+            EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented) << r.status().to_string();
+        }
+    }
+    EXPECT_FALSE((*provider)->find_database("db")->exists("k").value());
+
+    // The provider survived and still serves the one write path.
+    yokan::DatabaseHandle db(client, "rserver", 1, "db");
+    ASSERT_TRUE(db.put("k", "v").ok());
+    auto v = db.get("k");
+    ASSERT_TRUE(v.ok()) << v.status().to_string();
+    EXPECT_EQ(*v, "v");
+}
+
 // ------------------------------------------------------------- cache tier
 
 TEST(CacheFuzzTest, MalformedCacheRpcsNeverKillTheProvider) {
@@ -717,14 +752,17 @@ TEST_P(MvccFuzzTest, MalformedPublishRecordsAreInertNotFatal) {
     ASSERT_TRUE(provider.ok()) << provider.status().to_string();
     auto* db = (*provider)->find_database("products");
 
-    auto put = [&](yokan::proto::PutReq req) {
+    auto put = [&](std::string key, std::string_view value, std::uint32_t epoch) {
+        const yokan::proto::PutViewReq req{"products", std::move(key),
+                                           hep::Buffer::copy_of(value), true, epoch};
         return client
-            .forward<yokan::proto::PutReq, yokan::proto::Ack>("pserver", "yokan_put", 1, req)
+            .forward<yokan::proto::PutViewReq, yokan::proto::Ack>("pserver", "yokan_put_owned",
+                                                                  1, req)
             .status();
     };
 
     // Stage a value under epoch 9: the fuzz below must never publish it.
-    ASSERT_TRUE(put({"products", "staged", "s", true, 9}).ok());
+    ASSERT_TRUE(put("staged", "s", 9).ok());
 
     for (int iter = 0; iter < 300; ++iter) {
         // Marker-shaped keys with wrong-length or garbage suffixes (a real
@@ -737,12 +775,12 @@ TEST_P(MvccFuzzTest, MalformedPublishRecordsAreInertNotFatal) {
             key += random_bytes(rng, len);
         }
         if (yokan::parse_publish_marker(key) != 0) continue;  // rare: valid
-        auto ack = put({"products", key, "", true, 0});
+        auto ack = put(key, "", 0);
         ASSERT_TRUE(ack.ok()) << ack.to_string();
 
         // Random-epoch puts stage without ever becoming visible.
         const auto epoch = static_cast<std::uint32_t>(rng.next_u64() | 1);
-        ASSERT_TRUE(put({"products", "fuzz-staged", "x", true, epoch}).ok());
+        ASSERT_TRUE(put("fuzz-staged", "x", epoch).ok());
     }
 
     // Nothing got published, nothing internal leaks from filtered reads.
@@ -756,7 +794,7 @@ TEST_P(MvccFuzzTest, MalformedPublishRecordsAreInertNotFatal) {
     EXPECT_TRUE(listed->keys.empty());  // every stored key is internal or staged
 
     // A genuine marker still publishes its epoch — and only it.
-    ASSERT_TRUE(put({"products", yokan::publish_marker_key(9), "", true, 0}).ok());
+    ASSERT_TRUE(put(yokan::publish_marker_key(9), "", 0).ok());
     EXPECT_TRUE(db->epoch_visible(9));
     get = client.forward<yokan::proto::KeyReq, yokan::proto::GetResp>(
         "pserver", "yokan_get", 1, {"products", "staged", {}});

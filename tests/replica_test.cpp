@@ -173,7 +173,7 @@ TEST_F(ReplicaServiceTest, EveryAcknowledgedWriteIsOnTheBackupToo) {
     populate("rep", 3, 4, 5, /*with_products=*/true);
     expect_backups_in_sync();
     // And the service-side symbio source reports the shipping.
-    auto snap = symbio::fetch(store_.impl()->engine(), "hepnos-server-0", 99);
+    auto snap = symbio::fetch_all(store_.impl()->engine(), "hepnos-server-0", 99);
     ASSERT_TRUE(snap.ok()) << snap.status().to_string();
     const json::Value& sets = (*snap)["sources"]["replica/1"];
     ASSERT_TRUE(sets.is_array());

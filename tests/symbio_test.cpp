@@ -114,7 +114,7 @@ TEST(SymbioServiceTest, RemoteFetchReflectsDatabaseActivity) {
     (void)db.get("k4");
     (void)db.list_keys("", "", 10);
 
-    auto snap = symbio::fetch(client, "mon-server", 99);
+    auto snap = symbio::fetch_all(client, "mon-server", 99);
     ASSERT_TRUE(snap.ok()) << snap.status().to_string();
     const json::Value& events = (*snap)["sources"]["db/events"];
     EXPECT_EQ(events["puts"].as_int(), 25);
@@ -158,11 +158,13 @@ TEST(SymbioServiceTest, StatsAllAndPerSourceFetch) {
     // Unknown sources and requests are errors, not empty blobs.
     EXPECT_FALSE(symbio::fetch_source(client, "mon-all-server", 99, "db/nope").ok());
 
-    // The legacy empty-payload fetch is unchanged.
-    auto legacy = symbio::fetch(client, "mon-all-server", 99);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_FALSE((*legacy).contains("server"));
-    EXPECT_EQ((*legacy)["sources"]["db/events"]["puts"].as_int(), 1);
+    // The empty payload is no request at all: InvalidArgument, like any
+    // unknown one.
+    for (const char* request : {"", "stats"}) {
+        auto raw = client.endpoint().call("mon-all-server", "symbio_fetch", 99, request);
+        ASSERT_FALSE(raw.ok()) << "request \"" << request << '"';
+        EXPECT_EQ(raw.status().code(), StatusCode::kInvalidArgument) << raw.status().to_string();
+    }
 }
 
 TEST(SymbioServiceTest, MonitoringAbsentWhenNotConfigured) {
@@ -172,7 +174,7 @@ TEST(SymbioServiceTest, MonitoringAbsentWhenNotConfigured) {
     ASSERT_TRUE(svc.ok());
     EXPECT_EQ((*svc)->metrics(), nullptr);
     margo::Engine client(net, "c");
-    EXPECT_FALSE(symbio::fetch(client, "plain", 99).ok());
+    EXPECT_FALSE(symbio::fetch_all(client, "plain", 99).ok());
 }
 
 }  // namespace

@@ -195,16 +195,17 @@ TEST(TcpFabricTest, YokanBatchGetOverTcp) {
     auto provider = yokan::Provider::create(server, 1, *cfg);
     ASSERT_TRUE(provider.ok());
     yokan::DatabaseHandle db(client, server.address(), 1, "db");
-    std::vector<yokan::KeyValue> batch;
+    std::vector<yokan::BatchItem> batch;
     for (int i = 0; i < 300; ++i) {
-        batch.push_back({"k" + std::to_string(i), "value-" + std::to_string(i)});
+        batch.push_back(
+            {"k" + std::to_string(i), hep::Buffer::adopt("value-" + std::to_string(i))});
     }
     ASSERT_TRUE(db.put_multi(batch).ok());
-    auto out = db.get_multi({"k7", "missing", "k250"});
+    auto out = db.get_multi_views({"k7", "missing", "k250"});
     ASSERT_TRUE(out.ok()) << out.status().to_string();
-    EXPECT_EQ(*(*out)[0], "value-7");
+    EXPECT_EQ((*out)[0]->sv(), "value-7");
     EXPECT_FALSE((*out)[1].has_value());
-    EXPECT_EQ(*(*out)[2], "value-250");
+    EXPECT_EQ((*out)[2]->sv(), "value-250");
 }
 
 TEST(TcpFabricTest, FullHepnosStackOverTcp) {

@@ -115,6 +115,82 @@ TEST_P(BackendTest, BinaryKeysAndValues) {
     EXPECT_EQ(*db_->get(key), value);
 }
 
+TEST_P(BackendTest, HelpersAgreeWithStampedCore) {
+    // Every helper is a view of the stamped core: the same value, presence,
+    // length and create semantics — from the memtable and, for lsm, from
+    // tables after a flush and a reopen.
+    auto expect_agree = [&](const std::string& key, const std::string& value,
+                            std::uint32_t epoch) {
+        SCOPED_TRACE(key);
+        auto stamped = db_->get_stamped(key);
+        ASSERT_TRUE(stamped.ok()) << stamped.status().to_string();
+        EXPECT_EQ(stamped->first.sv(), value);
+        EXPECT_GT(stamped->second.seq, 0u);
+        EXPECT_EQ(stamped->second.epoch, epoch);
+        EXPECT_EQ(*db_->get(key), value);
+        EXPECT_EQ(db_->get_view(key)->sv(), value);
+        EXPECT_TRUE(*db_->exists(key));
+        EXPECT_EQ(*db_->length(key), value.size());
+    };
+    auto expect_absent = [&](const std::string& key) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(db_->get_stamped(key).status().code(), StatusCode::kNotFound);
+        EXPECT_EQ(db_->get(key).status().code(), StatusCode::kNotFound);
+        EXPECT_EQ(db_->get_view(key).status().code(), StatusCode::kNotFound);
+        EXPECT_FALSE(*db_->exists(key));
+        EXPECT_EQ(db_->length(key).status().code(), StatusCode::kNotFound);
+    };
+    auto expect_create_refused = [&](const std::string& key) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(db_->put(key, "x", /*overwrite=*/false).code(), StatusCode::kAlreadyExists);
+        EXPECT_EQ(db_->put_view(key, BufferView(Buffer::copy_of("x")), /*overwrite=*/false)
+                      .code(),
+                  StatusCode::kAlreadyExists);
+        EXPECT_EQ(db_->put_stamped(key, BufferView(Buffer::copy_of("x")), /*overwrite=*/false, 0)
+                      .code(),
+                  StatusCode::kAlreadyExists);
+    };
+    auto check_all = [&] {
+        expect_agree("plain", "via-put", 0);
+        expect_agree("view", "via-put-view", 0);
+        expect_agree("staged", "via-put-stamped", 7);
+        expect_absent("erased");
+        expect_absent("never");
+        for (const char* key : {"plain", "view", "staged"}) expect_create_refused(key);
+        expect_agree("plain", "via-put", 0);  // refused creates changed nothing
+    };
+
+    ASSERT_TRUE(db_->put("plain", "via-put").ok());
+    ASSERT_TRUE(db_->put_view("view", BufferView(Buffer::copy_of("via-put-view"))).ok());
+    ASSERT_TRUE(db_->put_stamped("staged", BufferView(Buffer::copy_of("via-put-stamped")),
+                                 /*overwrite=*/true, 7)
+                    .ok());
+    ASSERT_TRUE(db_->put("erased", "gone").ok());
+    ASSERT_TRUE(db_->erase("erased").ok());
+
+    // A publish marker written through each put helper flips its epoch.
+    for (std::uint32_t epoch : {1u, 2u, 3u}) EXPECT_FALSE(db_->epoch_visible(epoch));
+    ASSERT_TRUE(db_->put(publish_marker_key(1), "").ok());
+    EXPECT_TRUE(db_->epoch_visible(1));
+    ASSERT_TRUE(db_->put_view(publish_marker_key(2), BufferView(Buffer::copy_of(""))).ok());
+    EXPECT_TRUE(db_->epoch_visible(2));
+    ASSERT_TRUE(db_->put_stamped(publish_marker_key(3), BufferView(Buffer::copy_of("")),
+                                 /*overwrite=*/true, 0)
+                    .ok());
+    EXPECT_TRUE(db_->epoch_visible(3));
+    EXPECT_FALSE(db_->epoch_visible(4));
+
+    check_all();
+    if (GetParam() != "lsm") return;
+
+    ASSERT_TRUE(db_->flush().ok());
+    check_all();
+    db_.reset();
+    db_ = make_db();
+    check_all();
+    for (std::uint32_t epoch : {1u, 2u, 3u}) EXPECT_TRUE(db_->epoch_visible(epoch));
+}
+
 TEST_P(BackendTest, ListKeysSortedWithPrefixAndResume) {
     for (const char* k : {"run/1", "run/2", "run/3", "sub/1", "aaa"}) {
         ASSERT_TRUE(db_->put(k, "x").ok());

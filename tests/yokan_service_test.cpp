@@ -107,27 +107,28 @@ TEST_F(YokanServiceTest, ListKeyvalsOverRpc) {
     EXPECT_EQ((*items)[1].value, "2");
 }
 
-TEST_F(YokanServiceTest, PutMultiUsesOneBulkTransfer) {
-    std::vector<KeyValue> batch;
+TEST_F(YokanServiceTest, PutMultiIsOneRpcWithoutBulkRoundTrip) {
+    std::vector<BatchItem> batch;
     for (int i = 0; i < 500; ++i) {
-        batch.push_back({"bulk" + std::to_string(i), std::string(100, 'v')});
+        batch.push_back({"bulk" + std::to_string(i), hep::Buffer::adopt(std::string(100, 'v'))});
     }
     const auto before = net_.stats();
     auto stored = db_.put_multi(batch);
     ASSERT_TRUE(stored.ok()) << stored.status().to_string();
     EXPECT_EQ(*stored, 500u);
     const auto after = net_.stats();
-    // One request + one response, one bulk pull — not 500 RPCs.
+    // One request + one response carrying every value — not 500 RPCs, and
+    // no expose/pull round-trip.
     EXPECT_EQ(after.messages - before.messages, 2u);
-    EXPECT_EQ(after.bulk_transfers - before.bulk_transfers, 1u);
-    EXPECT_GE(after.bulk_bytes - before.bulk_bytes, 500u * 100u);
+    EXPECT_EQ(after.bulk_transfers - before.bulk_transfers, 0u);
     EXPECT_EQ(*db_.count(), 500u);
     EXPECT_EQ(*db_.get("bulk123"), std::string(100, 'v'));
 }
 
 TEST_F(YokanServiceTest, PutMultiCreateCountsExisting) {
     ASSERT_TRUE(db_.put("dup", "old").ok());
-    std::vector<KeyValue> batch{{"dup", "new"}, {"fresh", "v"}};
+    std::vector<BatchItem> batch{{"dup", hep::Buffer::copy_of("new")},
+                                 {"fresh", hep::Buffer::copy_of("v")}};
     auto stored = db_.put_multi(batch, /*overwrite=*/false);
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(*stored, 1u);
@@ -137,27 +138,30 @@ TEST_F(YokanServiceTest, PutMultiCreateCountsExisting) {
 TEST_F(YokanServiceTest, GetMultiReturnsValuesAndMissing) {
     ASSERT_TRUE(db_.put("a", "alpha").ok());
     ASSERT_TRUE(db_.put("c", "gamma").ok());
-    auto out = db_.get_multi({"a", "b", "c"});
+    const auto before = net_.stats();
+    auto out = db_.get_multi_views({"a", "b", "c"});
     ASSERT_TRUE(out.ok()) << out.status().to_string();
+    // One RPC, one bulk write of the found values into the client region.
+    EXPECT_EQ(net_.stats().bulk_transfers - before.bulk_transfers, 1u);
     ASSERT_EQ(out->size(), 3u);
-    EXPECT_EQ(*(*out)[0], "alpha");
+    EXPECT_EQ((*out)[0]->sv(), "alpha");
     EXPECT_FALSE((*out)[1].has_value());
-    EXPECT_EQ(*(*out)[2], "gamma");
+    EXPECT_EQ((*out)[2]->sv(), "gamma");
 }
 
 TEST_F(YokanServiceTest, GetMultiGrowsBufferWhenHintTooSmall) {
     const std::string big(1 << 16, 'B');
     ASSERT_TRUE(db_.put("big0", big).ok());
     ASSERT_TRUE(db_.put("big1", big).ok());
-    auto out = db_.get_multi({"big0", "big1"}, /*buffer_hint=*/16);
+    auto out = db_.get_multi_views({"big0", "big1"}, /*buffer_hint=*/16);
     ASSERT_TRUE(out.ok()) << out.status().to_string();
     ASSERT_EQ(out->size(), 2u);
-    EXPECT_EQ(*(*out)[0], big);
-    EXPECT_EQ(*(*out)[1], big);
+    EXPECT_EQ((*out)[0]->sv(), big);
+    EXPECT_EQ((*out)[1]->sv(), big);
 }
 
 TEST_F(YokanServiceTest, GetMultiEmptyKeyList) {
-    auto out = db_.get_multi({});
+    auto out = db_.get_multi_views({});
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(out->empty());
 }

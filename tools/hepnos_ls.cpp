@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
             }
             margo::Engine probe(fabric, "hepnos-ls-probe");
             for (const auto& server : servers) {
-                auto snap = symbio::fetch(probe, server, 99);
+                auto snap = symbio::fetch_all(probe, server, 99);
                 if (!snap.ok()) continue;
                 std::printf("\nmonitoring (%s):\n", server.c_str());
                 const json::Value& sources = (*snap)["sources"];
