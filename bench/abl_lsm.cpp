@@ -13,6 +13,8 @@
 #include "bench_table.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "nova/generator.hpp"
+#include "serial/archive.hpp"
 #include "yokan/lsm/lsm_db.hpp"
 
 namespace {
@@ -418,6 +420,109 @@ CompRun run_compression_reads(const std::string& compression) {
     fs::remove_all(dir);
     return r;
 }
+
+// ---------------------------------------------------------------------------
+// Table-build layer: what flush and compaction pay per SSTable.
+//
+// BM_EncodeBlock times encode_block (codec choice + envelope) on one ~4 KiB
+// raw block, in ns per block, over two block shapes:
+//   nova_products — NOvA product entries as the DataLoader writes them:
+//                   §II-C keys, a stamp, serialized slice vectors. Nearly
+//                   every such block stays raw.
+//   compressible  — the internals ablation's 512 B run-length-ish values,
+//                   the shape block compression was built for.
+// BM_SstWriterBuild times SstWriter add+finish over 1 MiB of NOvA product
+// entries (~256 B each, stamped, compression on), in us per MiB.
+// ---------------------------------------------------------------------------
+
+std::string nova_product_key(std::uint64_t run, std::uint64_t subrun, std::uint64_t event) {
+    std::string key(16, '\x5a');  // dataset UUID
+    for (std::uint64_t v : {run, subrun, event}) {
+        for (int b = 7; b >= 0; --b) key.push_back(static_cast<char>(v >> (8 * b)));
+    }
+    return key + "slices#St6vectorIN3hep4nova5SliceESaIS2_EE";
+}
+
+/// Stamped NOvA product entries in key order, from the deterministic
+/// generator: `bytes` of (key, stamp + value) records.
+std::vector<std::pair<std::string, std::string>> nova_entries(std::size_t bytes) {
+    const nova::Generator gen;
+    std::vector<std::pair<std::string, std::string>> out;
+    std::size_t total = 0;
+    for (std::uint64_t e = 0; total < bytes; ++e) {
+        const nova::EventRecord rec = gen.make_event(10000, e / 500, e);
+        std::string value(lsm::kStampBytes, '\0');
+        value[0] = static_cast<char>(e);  // seq; epoch 0
+        value += serial::to_string(rec.slices);
+        total += 8 + nova_product_key(rec.run, rec.subrun, rec.event).size() + value.size();
+        out.emplace_back(nova_product_key(rec.run, rec.subrun, rec.event), std::move(value));
+    }
+    return out;
+}
+
+/// Raw SSTable blocks (klen u32, vlen u32, key, value records), each cut at
+/// the first record that takes it past 4 KiB, as SstWriter cuts them.
+std::vector<std::string> raw_blocks(const std::vector<std::pair<std::string, std::string>>& kv) {
+    std::vector<std::string> blocks(1);
+    for (const auto& [k, v] : kv) {
+        std::string& b = blocks.back();
+        const auto klen = static_cast<std::uint32_t>(k.size());
+        const auto vlen = static_cast<std::uint32_t>(v.size());
+        b.append(reinterpret_cast<const char*>(&klen), 4);
+        b.append(reinterpret_cast<const char*>(&vlen), 4);
+        b += k;
+        b += v;
+        if (b.size() >= 4096) blocks.emplace_back();
+    }
+    blocks.pop_back();  // the unfinished tail
+    return blocks;
+}
+
+void BM_EncodeBlock(benchmark::State& state, bool nova_shape) {
+    std::vector<std::pair<std::string, std::string>> kv;
+    if (nova_shape) {
+        kv = nova_entries(256 << 10);
+    } else {
+        for (std::uint64_t i = 0; i < 512; ++i) kv.emplace_back(key_of(i), comp_value_of(i));
+    }
+    const std::vector<std::string> blocks = raw_blocks(kv);
+    std::size_t i = 0, compressed = 0, stored = 0, raw = 0;
+    for (auto _ : state) {
+        const std::string& b = blocks[i++ % blocks.size()];
+        const std::string env = lsm::encode_block(b, true);
+        compressed += lsm::block_is_compressed(env);
+        stored += env.size();
+        raw += b.size();
+    }
+    state.counters["compressed_frac"] =
+        static_cast<double>(compressed) / static_cast<double>(state.iterations());
+    state.counters["stored_per_raw"] = static_cast<double>(stored) / static_cast<double>(raw);
+}
+BENCHMARK_CAPTURE(BM_EncodeBlock, nova_products, true);
+BENCHMARK_CAPTURE(BM_EncodeBlock, compressible, false);
+
+void BM_SstWriterBuild(benchmark::State& state) {
+    const auto kv = nova_entries(1 << 20);
+    std::size_t bytes = 0;
+    for (const auto& [k, v] : kv) bytes += 8 + k.size() + v.size();
+    const auto dir = bg_scratch_dir() / "bench_lsm_sst_build";
+    fs::create_directories(dir);
+    const std::string path = (dir / "t.sst").string();
+    for (auto _ : state) {
+        lsm::SstWriter w(path, 1, 4096, /*compress_blocks=*/true);
+        for (const auto& [k, v] : kv) {
+            if (!w.add(k, v).ok()) state.SkipWithError("add failed");
+        }
+        if (!w.finish().ok()) state.SkipWithError("finish failed");
+    }
+    state.counters["entries"] = static_cast<double>(kv.size());
+    state.counters["entry_bytes"] = static_cast<double>(bytes) / static_cast<double>(kv.size());
+    state.counters["us_per_MiB"] = benchmark::Counter(
+        static_cast<double>(bytes) / (1 << 20) * 1e-6,
+        benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+    fs::remove_all(dir);
+}
+BENCHMARK(BM_SstWriterBuild)->Unit(benchmark::kMicrosecond);
 
 void run_internals_ablation() {
     // Headline workload is acquisition-order ingest — the write pattern the

@@ -130,7 +130,7 @@ struct AnomalyResult {
     std::uint64_t ingested_events = 0;
 };
 
-AnomalyResult run_anomaly_phase(Service& svc, hepnos::DataStore& store) {
+AnomalyResult run_anomaly_phase(hepnos::DataStore& store) {
     AnomalyResult r;
     hepnos::DataSet ds = store[kDataset];
     const auto spec = selection_spec();
@@ -283,7 +283,7 @@ void print_reproduction() {
         dataloader::ingest_generated(store, comm, gen, kDataset, 512);
     });
 
-    AnomalyResult anom = run_anomaly_phase(*svc, store);
+    AnomalyResult anom = run_anomaly_phase(store);
     print_row({"phase", "metric", "value"});
     print_row({"anomalies", "pinned-runs", std::to_string(anom.pinned_runs)});
     print_row({"anomalies", "anomalies", std::to_string(anom.anomalies)});

@@ -16,13 +16,19 @@
 // only succeeds if it consumes the payload exactly and every decoded value
 // fits the element width. compress() output is exact-size (no padding), and
 // max_compressed_size() gives the tight worst-case bound callers can use to
-// pre-validate payload lengths.
+// pre-validate payload lengths. compressed_size() gives a codec's exact size
+// by counting varint lengths, so compress_auto (and the SSTable block
+// envelope, src/yokan/lsm/block.cpp) encode only the codec that wins.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/status.hpp"
 
@@ -75,12 +81,20 @@ inline constexpr std::size_t max_compressed_size(Codec codec, std::size_t count,
 
 // ---- primitives ------------------------------------------------------------
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// LEB128-encode `v` at `dst`, which must have room for the encoding (at
+/// most 10 bytes); returns its end.
+inline unsigned char* put_varint(unsigned char* dst, std::uint64_t v) noexcept {
     while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+        *dst++ = static_cast<unsigned char>(v | 0x80);
         v >>= 7;
     }
-    out.push_back(static_cast<char>(v));
+    *dst++ = static_cast<unsigned char>(v);
+    return dst;
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+    unsigned char buf[10];
+    out.append(reinterpret_cast<const char*>(buf), put_varint(buf, v) - buf);
 }
 
 /// Bounded LEB128 decode; advances `pos`. False on truncation, a >10-byte
@@ -111,12 +125,37 @@ inline std::uint64_t zigzag_decode(std::uint64_t z) noexcept {
 
 namespace detail {
 
-/// Little-endian element load/store so the codecs are byte-order stable.
+/// Little-endian element load with the width fixed at compile time (so the
+/// codecs are byte-order stable): one plain load on a little-endian host,
+/// the portable byte loop elsewhere.
+template <std::size_t W>
+inline std::uint64_t load_le(const unsigned char* p) noexcept {
+    if constexpr (std::endian::native == std::endian::little) {
+        using U = std::conditional_t<W == 1, std::uint8_t,
+                                     std::conditional_t<W == 4, std::uint32_t, std::uint64_t>>;
+        U v;
+        std::memcpy(&v, p, W);
+        return v;
+    } else {
+        std::uint64_t v = 0;
+        for (std::size_t b = 0; b < W; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+        return v;
+    }
+}
+
+/// Calls `fn` with the valid width (1, 4 or 8) as a compile-time constant.
+template <typename Fn>
+inline auto with_width(std::size_t width, Fn&& fn) {
+    switch (width) {
+        case 1: return fn(std::integral_constant<std::size_t, 1>{});
+        case 4: return fn(std::integral_constant<std::size_t, 4>{});
+        default: return fn(std::integral_constant<std::size_t, 8>{});
+    }
+}
+
 inline std::uint64_t load_elem(const void* data, std::size_t index, std::size_t width) noexcept {
     const auto* p = static_cast<const unsigned char*>(data) + index * width;
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < width; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
-    return v;
+    return with_width(width, [p](auto w) { return load_le<decltype(w)::value>(p); });
 }
 
 inline void store_elem(void* data, std::size_t index, std::size_t width,
@@ -133,6 +172,60 @@ inline bool fits_width(std::uint64_t v, std::size_t width) noexcept {
 
 // ---- encode ----------------------------------------------------------------
 
+namespace detail {
+
+/// LEB128 length of `v`: one byte per started group of 7 bits.
+inline std::size_t varint_size(std::uint64_t v) noexcept {
+    return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// Calls `emit(u)` with the unsigned value each element varint-encodes as:
+/// the element itself (kVarint), or the first element and then zigzagged
+/// deltas (kDelta). Stops early once `emit` returns false.
+template <std::size_t W, typename Emit>
+inline void for_each_coded(Codec codec, const unsigned char* p, std::size_t count,
+                           Emit&& emit) noexcept {
+    if (codec == Codec::kVarint) {
+        for (std::size_t i = 0; i < count; ++i) {
+            if (!emit(load_le<W>(p + i * W))) return;
+        }
+        return;
+    }
+    if (count == 0) return;
+    std::uint64_t prev = load_le<W>(p);
+    if (!emit(prev)) return;
+    for (std::size_t i = 1; i < count; ++i) {
+        const std::uint64_t v = load_le<W>(p + i * W);
+        if (!emit(zigzag_encode(v - prev))) return;
+        prev = v;
+    }
+}
+
+}  // namespace detail
+
+/// Payload size compress(codec, ...) produces, counted without writing a
+/// byte. Counting stops as soon as the size reaches `stop_at`: a result
+/// below `stop_at` is exact, any other only says "at least stop_at". An
+/// unsupported codec or width counts as the largest size_t (compress() would
+/// fail).
+inline std::size_t compressed_size(
+    Codec codec, const void* data, std::size_t count, std::size_t width,
+    std::size_t stop_at = std::numeric_limits<std::size_t>::max()) noexcept {
+    if (!valid_codec(static_cast<std::uint8_t>(codec)) || !valid_width(width)) {
+        return std::numeric_limits<std::size_t>::max();
+    }
+    if (codec == Codec::kRaw) return count * width;
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::size_t n = 0;
+    detail::with_width(width, [&](auto w) {
+        detail::for_each_coded<decltype(w)::value>(codec, p, count, [&](std::uint64_t u) {
+            n += detail::varint_size(u);
+            return n < stop_at;
+        });
+    });
+    return n;
+}
+
 /// Compress `count` elements of `width` bytes with one codec. The output is
 /// the payload only — callers record (codec, count, width) themselves.
 inline Result<std::string> compress(Codec codec, const void* data, std::size_t count,
@@ -140,53 +233,54 @@ inline Result<std::string> compress(Codec codec, const void* data, std::size_t c
     if (!valid_width(width)) {
         return Status::InvalidArgument("unsupported element width " + std::to_string(width));
     }
-    std::string out;
-    switch (codec) {
-        case Codec::kRaw: {
-            out.resize(count * width);
-            if (count > 0) std::memcpy(out.data(), data, count * width);
-            return out;
-        }
-        case Codec::kVarint: {
-            out.reserve(count * 2);
-            for (std::size_t i = 0; i < count; ++i) {
-                put_varint(out, detail::load_elem(data, i, width));
-            }
-            return out;
-        }
-        case Codec::kDelta: {
-            out.reserve(count * 2);
-            std::uint64_t prev = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                const std::uint64_t v = detail::load_elem(data, i, width);
-                if (i == 0) {
-                    put_varint(out, v);
-                } else {
-                    put_varint(out, zigzag_encode(v - prev));
-                }
-                prev = v;
-            }
-            return out;
-        }
+    if (!valid_codec(static_cast<std::uint8_t>(codec))) {
+        return Status::InvalidArgument("unknown codec " +
+                                       std::to_string(static_cast<unsigned>(codec)));
     }
-    return Status::InvalidArgument("unknown codec " +
-                                   std::to_string(static_cast<unsigned>(codec)));
+    std::string out;
+    if (codec == Codec::kRaw) {
+        out.resize(count * width);
+        if (count > 0) std::memcpy(out.data(), data, count * width);
+        return out;
+    }
+    // Sized by counting first, then written in place: no per-byte growth.
+    out.resize(compressed_size(codec, data, count, width));
+    const auto* p = static_cast<const unsigned char*>(data);
+    auto* dst = reinterpret_cast<unsigned char*>(out.data());
+    detail::with_width(width, [&](auto w) {
+        detail::for_each_coded<decltype(w)::value>(codec, p, count, [&](std::uint64_t u) {
+            dst = put_varint(dst, u);
+            return true;
+        });
+    });
+    return out;
 }
 
-/// Try every codec and keep the smallest payload (ties go to the cheaper
-/// decode: raw, then varint, then delta).
-inline std::pair<Codec, std::string> compress_auto(const void* data, std::size_t count,
-                                                   std::size_t width) {
-    std::pair<Codec, std::string> best{Codec::kRaw, std::string()};
-    if (count == 0) return best;
-    best.second.assign(static_cast<const char*>(data), count * width);
+// ---- codec choice ----------------------------------------------------------
+
+/// The codec compress_auto keeps and its payload size, decided by counting:
+/// the smallest payload strictly below `beat` (ties go to the cheaper
+/// decode: varint before delta), else kRaw with `beat`.
+inline std::pair<Codec, std::size_t> pick_codec(const void* data, std::size_t count,
+                                                std::size_t width, std::size_t beat) noexcept {
+    std::pair<Codec, std::size_t> best{Codec::kRaw, beat};
     for (Codec c : {Codec::kVarint, Codec::kDelta}) {
-        auto attempt = compress(c, data, count, width);
-        if (attempt.ok() && attempt->size() < best.second.size()) {
-            best = {c, std::move(*attempt)};
-        }
+        const std::size_t n = compressed_size(c, data, count, width, best.second);
+        if (n < best.second) best = {c, n};
     }
     return best;
+}
+
+/// The smallest payload over every codec (ties go to the cheaper decode:
+/// raw, then varint, then delta). Only the winner is encoded.
+inline std::pair<Codec, std::string> compress_auto(const void* data, std::size_t count,
+                                                   std::size_t width) {
+    if (count == 0) return {Codec::kRaw, std::string()};
+    const Codec best = pick_codec(data, count, width, count * width).first;
+    if (best == Codec::kRaw) {
+        return {best, std::string(static_cast<const char*>(data), count * width)};
+    }
+    return {best, std::move(*compress(best, data, count, width))};
 }
 
 // ---- decode ----------------------------------------------------------------

@@ -25,14 +25,16 @@ std::string encode_block(std::string_view raw, bool try_compress) {
     if (try_compress && !raw.empty()) {
         // Zero-pad to a whole number of u64 elements; delta/varint over
         // width-8 is the only shape where these codecs can beat raw bytes.
+        // The codecs are sized by counting, and only a winner that beats
+        // the unpadded raw block is encoded.
         const std::size_t padded = (raw.size() + 7) & ~std::size_t(7);
         std::string scratch(padded, '\0');
         std::memcpy(scratch.data(), raw.data(), raw.size());
-        auto [best, best_payload] = compress::compress_auto(scratch.data(), padded / 8, 8);
-        if (best != compress::Codec::kRaw && best_payload.size() < raw.size()) {
+        const auto best = compress::pick_codec(scratch.data(), padded / 8, 8, raw.size()).first;
+        if (best != compress::Codec::kRaw) {
             codec = static_cast<std::uint8_t>(best);
             pad = static_cast<std::uint8_t>(padded - raw.size());
-            payload = std::move(best_payload);
+            payload = std::move(*compress::compress(best, scratch.data(), padded / 8, 8));
         }
     }
 

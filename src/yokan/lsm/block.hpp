@@ -10,7 +10,8 @@
 // is the only width where kDelta/kVarint can beat raw on byte streams, and
 // `pad` (0..7) records how much padding to strip after decode. encode_block
 // keeps whichever is smaller, so a block never grows by more than the 6-byte
-// header. The per-block crc32 stored in the table index covers the whole
+// header; it sizes each codec by counting varint lengths and encodes only a
+// winner. The per-block crc32 stored in the table index covers the whole
 // envelope, so corruption is caught before any decode runs.
 //
 // The BlockCache holds two independently byte-bounded LRU tiers:

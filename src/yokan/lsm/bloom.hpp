@@ -20,18 +20,20 @@ class BloomFilter {
         bits_.assign((bits + 63) / 64, 0);
     }
 
-    void insert(std::string_view key) {
-        const auto [h1, h2] = hashes(key);
-        for (std::uint32_t i = 0; i < kHashes; ++i) {
-            set_bit((h1 + i * h2) % bit_count());
-        }
+    /// The one hash a key is filtered by; both probe sequences derive from
+    /// it, so a caller can hash a key once and feed several filters.
+    static std::uint64_t hash(std::string_view key) noexcept { return fnv1a64(key); }
+
+    void insert_hash(std::uint64_t h) {
+        const std::uint64_t h2 = mix64(h) | 1;  // odd second hash avoids cycling
+        for (std::uint32_t i = 0; i < kHashes; ++i) set_bit((h + i * h2) % bit_count());
     }
 
-    [[nodiscard]] bool may_contain(std::string_view key) const {
+    [[nodiscard]] bool may_contain_hash(std::uint64_t h) const {
         if (bits_.empty()) return false;
-        const auto [h1, h2] = hashes(key);
+        const std::uint64_t h2 = mix64(h) | 1;
         for (std::uint32_t i = 0; i < kHashes; ++i) {
-            if (!get_bit((h1 + i * h2) % bit_count())) return false;
+            if (!get_bit((h + i * h2) % bit_count())) return false;
         }
         return true;
     }
@@ -44,11 +46,6 @@ class BloomFilter {
 
   private:
     static constexpr std::uint32_t kHashes = 7;
-
-    static std::pair<std::uint64_t, std::uint64_t> hashes(std::string_view key) {
-        const std::uint64_t h = fnv1a64(key);
-        return {h, mix64(h) | 1};  // odd second hash avoids cycling
-    }
 
     void set_bit(std::size_t i) { bits_[i / 64] |= (1ULL << (i % 64)); }
     [[nodiscard]] bool get_bit(std::size_t i) const {

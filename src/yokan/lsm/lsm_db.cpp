@@ -17,20 +17,6 @@ namespace {
 constexpr const char* kLegacyWalName = "wal.log";
 constexpr std::size_t kNoLevel = std::numeric_limits<std::size_t>::max();
 
-/// MVCC stamp prefix on SSTable values (format-2 tables): seq u64 + epoch
-/// u32, little-endian. Tombstones carry no stamp (their seq only matters for
-/// manifest last_seq accounting, done at flush time).
-constexpr std::size_t kStampBytes = 12;
-
-std::string wrap_stamped(const Stamp& stamp, std::string_view value) {
-    std::string out;
-    out.reserve(kStampBytes + value.size());
-    out.append(reinterpret_cast<const char*>(&stamp.seq), 8);
-    out.append(reinterpret_cast<const char*>(&stamp.epoch), 4);
-    out.append(value);
-    return out;
-}
-
 /// Strips the stamp prefix off `value` in place and returns it; pre-format-2
 /// tables (has_meta false) read as stamp (0, 0).
 Stamp unwrap_stamp(std::string_view& value, bool has_meta) {
@@ -53,7 +39,7 @@ std::uint64_t LsmDb::Version::level_bytes(std::size_t li) const {
 LsmDb::LsmDb(LsmOptions options) : options_(std::move(options)) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes,
                                           options_.compressed_cache_bytes);
-    active_.store(make_memtable(), std::memory_order_relaxed);
+    active_ = make_memtable();
     auto v = std::make_shared<Version>();
     v->levels.resize(options_.max_levels);
     current_ = std::move(v);
@@ -190,7 +176,7 @@ Status LsmDb::recover_wal() {
     // manifest's wal_floor are already in an SSTable — they are skipped (and
     // unlinked), so no record is ever double-replayed and the re-derived
     // stamps match the pre-crash ones exactly.
-    auto mem = active_.load(std::memory_order_relaxed);
+    auto mem = active_;  // recovery runs inside open(), before any reader
     auto apply = [&](Wal::RecordType type, std::string_view key, std::string_view value) {
         const std::uint64_t seq = seq_source().next();
         if (type == Wal::RecordType::kDelete) {
@@ -385,14 +371,13 @@ Status LsmDb::flush_oldest_imm() {
     std::uint64_t max_seq = last_flushed_seq_.load(std::memory_order_relaxed);
     if (victim->rep->count() > 0) {
         const std::uint64_t fn = next_file_number_.fetch_add(1);
-        SstWriter writer(table_path(fn), fn, options_.block_bytes, victim->rep->count(),
-                         compress_blocks());
+        SstWriter writer(table_path(fn), fn, options_.block_bytes, compress_blocks());
         auto cur = victim->rep->cursor();
         for (cur->seek_first(); cur->valid(); cur->next()) {
             const MemEntry e = cur->entry();
             max_seq = std::max(max_seq, e.stamp.seq);
             Status st = e.tombstone ? writer.add(cur->key(), {}, true)
-                                    : writer.add(cur->key(), wrap_stamped(e.stamp, e.value));
+                                    : writer.add(cur->key(), e.stamp, e.value);
             if (!st.ok()) return st;
         }
         auto meta = writer.finish();
@@ -492,40 +477,25 @@ Status LsmDb::compact_level(std::size_t level) {
     // Build merge sources; lower prio wins. L0 newest (highest index) is the
     // most recent version; target-level tables are oldest.
     std::vector<MergeSource> sources;
-    std::uint64_t input_entries = 0;
+    auto add_source = [&](const TableHandle& t) {
+        sources.push_back({t.reader->make_iterator(), sources.size(), t.meta.has_meta});
+    };
     if (level == 0) {
-        for (auto rit = src_idx.rbegin(); rit != src_idx.rend(); ++rit) {
-            sources.push_back({levels[0][*rit].reader->make_iterator(), sources.size(),
-                               levels[0][*rit].meta.has_meta});
-            input_entries += levels[0][*rit].meta.entries;
-        }
+        for (auto rit = src_idx.rbegin(); rit != src_idx.rend(); ++rit) add_source(levels[0][*rit]);
     } else {
-        for (std::size_t i : src_idx) {
-            sources.push_back({levels[level][i].reader->make_iterator(), sources.size(),
-                               levels[level][i].meta.has_meta});
-            input_entries += levels[level][i].meta.entries;
-        }
+        for (std::size_t i : src_idx) add_source(levels[level][i]);
     }
-    for (std::size_t i : dst_idx) {
-        sources.push_back({levels[target][i].reader->make_iterator(), sources.size(),
-                           levels[target][i].meta.has_meta});
-        input_entries += levels[target][i].meta.entries;
-    }
+    for (std::size_t i : dst_idx) add_source(levels[target][i]);
     for (auto& s : sources) {
         Status st = s.it.seek_after(std::string_view{});  // from the beginning
         if (!st.ok()) return st;
     }
 
-    // Merge into new target-level tables.
+    // Merge into new target-level tables. Each output's blooms are sized in
+    // SstWriter::finish from the entries it really holds.
     std::vector<TableMeta> outputs;
     std::optional<SstWriter> writer;
     std::size_t out_bytes_estimate = 0;
-    auto open_writer = [&]() {
-        const std::uint64_t fn = next_file_number_.fetch_add(1);
-        writer.emplace(table_path(fn), fn, options_.block_bytes,
-                       std::max<std::size_t>(16, input_entries), compress_blocks());
-        out_bytes_estimate = 0;
-    };
     auto close_writer = [&]() -> Status {
         if (!writer) return Status::OK();
         auto meta = writer->finish();
@@ -540,8 +510,8 @@ Status LsmDb::compact_level(std::size_t level) {
 
     while (true) {
         // Smallest current key across sources; ties won by lowest prio.
-        const MergeSource* best = nullptr;
-        for (const auto& s : sources) {
+        MergeSource* best = nullptr;
+        for (auto& s : sources) {
             if (!s.it.valid()) continue;
             if (!best || s.it.key() < best->it.key() ||
                 (s.it.key() == best->it.key() && s.prio < best->prio)) {
@@ -549,28 +519,41 @@ Status LsmDb::compact_level(std::size_t level) {
             }
         }
         if (!best) break;
-        const std::string key(best->it.key());
-        std::string value(best->it.value());
+        // The winner's key and value view its pinned block: hand them to the
+        // writer before any source moves.
+        const std::string_view key = best->it.key();
+        const std::string_view value = best->it.value();
         const bool tombstone = best->it.is_tombstone();
-        // Legacy (pre-stamp) sources get a zero stamp prepended so every
-        // output value uses the format-2 layout.
-        if (!tombstone && !best->has_meta) value.insert(0, kStampBytes, '\0');
-        // Advance every source positioned at this key.
+        if (!(tombstone && deeper_empty)) {  // else fully reclaim
+            if (!writer) {
+                const std::uint64_t fn = next_file_number_.fetch_add(1);
+                writer.emplace(table_path(fn), fn, options_.block_bytes, compress_blocks());
+                out_bytes_estimate = 0;
+            }
+            // Legacy (pre-stamp) sources get a zero stamp so every output
+            // value uses the format-2 layout.
+            Status st = tombstone          ? writer->add(key, {}, true)
+                        : best->has_meta ? writer->add(key, value)
+                                         : writer->add(key, Stamp{}, value);
+            if (!st.ok()) return st;
+            out_bytes_estimate +=
+                key.size() + value.size() + (tombstone || best->has_meta ? 0 : kStampBytes) + 8;
+            if (out_bytes_estimate >= options_.target_file_bytes) {
+                st = close_writer();
+                if (!st.ok()) return st;
+            }
+        }
+        // Advance every other source positioned at this key, then the winner
+        // (moving it ends the life of `key`).
         for (auto& s : sources) {
+            if (&s == best) continue;
             while (s.it.valid() && s.it.key() == key) {
                 Status st = s.it.next();
                 if (!st.ok()) return st;
             }
         }
-        if (tombstone && deeper_empty) continue;  // fully reclaim
-        if (!writer) open_writer();
-        Status st = writer->add(key, value, tombstone);
+        Status st = best->it.next();
         if (!st.ok()) return st;
-        out_bytes_estimate += key.size() + value.size() + 8;
-        if (out_bytes_estimate >= options_.target_file_bytes) {
-            st = close_writer();
-            if (!st.ok()) return st;
-        }
     }
     Status st = close_writer();
     if (!st.ok()) return st;
@@ -714,7 +697,7 @@ Status LsmDb::write_impl(std::string_view key, std::optional<hep::BufferView> va
         // MVCC seq drawn under write_mutex_: memtable stamp order equals WAL
         // append order, which is what recovery's re-stamping relies on.
         const Stamp stamp{seq_source().next(), is_erase ? 0 : epoch};
-        auto mem = active_.load(std::memory_order_relaxed);  // writer-owned
+        auto mem = active_;  // writer-owned
         mem->bytes.fetch_add(key.size() + (value ? value->size() : 0) + 32,
                              std::memory_order_relaxed);
         mem->rep->insert(key, value ? value->sv() : std::string_view{}, stamp, is_erase);
@@ -746,7 +729,7 @@ Status LsmDb::write_impl(std::string_view key, std::optional<hep::BufferView> va
 }
 
 Status LsmDb::seal_active() {
-    auto mem = active_.load(std::memory_order_relaxed);  // writer-owned
+    auto mem = active_;  // writer-owned
     // Rotate the WAL: closing the segment flushes the sealed memtable's
     // records, so this doubles as a group commit for everything appended.
     wal_.close();
@@ -771,7 +754,11 @@ Status LsmDb::seal_active() {
         nv->imm.insert(nv->imm.begin(), mem);  // newest first
         current_ = std::move(nv);
     }
-    active_.store(make_memtable(), std::memory_order_release);
+    auto fresh = make_memtable();
+    {
+        std::lock_guard g(active_mutex_);
+        active_.swap(fresh);
+    }
     return Status::OK();
 }
 
@@ -826,7 +813,7 @@ Status LsmDb::flush() {
     if (!bg.ok()) return bg;
     {
         std::lock_guard wl(write_mutex_);
-        auto mem = active_.load(std::memory_order_relaxed);
+        auto mem = active_;  // writer-owned
         if (mem->rep->count() > 0) {
             Status st = seal_active();
             if (!st.ok()) return st;
@@ -897,7 +884,7 @@ Result<std::pair<hep::BufferView, Stamp>> LsmDb::lookup(std::string_view key) co
     // Lock-free active probe: the skiplist tolerates concurrent inserts, and
     // seal ordering guarantees any memtable this load misses is reachable
     // through the version snapshot taken next.
-    auto mem = active_.load(std::memory_order_acquire);
+    auto mem = active();
     MemEntry e;
     auto memtable_hit = [&](const std::shared_ptr<const MemTable>& m)
         -> Result<std::pair<hep::BufferView, Stamp>> {
@@ -944,7 +931,7 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
     // absorbing inserts — the documented resume-after contract), or lands the
     // pinned memtable on the imm queue we merge anyway; duplicate sources
     // carry identical entries and the per-key dedup below collapses them.
-    std::shared_ptr<const MemTable> mem = active_.load(std::memory_order_acquire);
+    std::shared_ptr<const MemTable> mem = active();
     std::shared_ptr<const Version> ver = snapshot_version();
 
     const bool start_at_prefix = !prefix.empty() && after < prefix;

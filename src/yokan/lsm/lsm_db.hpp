@@ -222,9 +222,18 @@ class LsmDb final : public Database {
     // Write path. write_mutex_ serializes WAL append + memtable insert (so
     // recovery replays in apply order); it is held only for the O(log n)
     // insert, never across a flush, compaction or fsync. Readers never take
-    // it — they load active_ with acquire and probe the skiplist lock-free.
+    // it — they copy active_ through active() and probe the skiplist
+    // lock-free. active_ changes only in seal_active(), under write_mutex_
+    // and active_mutex_, so the writer reads it under write_mutex_ alone.
+    // (libstdc++'s std::atomic<std::shared_ptr> releases load() with a
+    // relaxed unlock, which does not order the load before a later store.)
     std::mutex write_mutex_;
-    std::atomic<std::shared_ptr<MemTable>> active_;
+    mutable std::mutex active_mutex_;
+    std::shared_ptr<MemTable> active_;
+    [[nodiscard]] std::shared_ptr<MemTable> active() const {
+        std::lock_guard g(active_mutex_);
+        return active_;
+    }
     Wal wal_;
     std::uint64_t wal_seq_ = 0;                 // current segment number
     std::atomic<std::uint64_t> append_seq_{0};  // WAL records ever appended

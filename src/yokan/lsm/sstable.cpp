@@ -31,15 +31,14 @@ std::uint64_t read_u64(const char* p) {
 // --------------------------------------------------------------- SstWriter
 
 SstWriter::SstWriter(std::string path, std::uint64_t file_number, std::size_t block_bytes,
-                     std::size_t expected_keys, bool compress_blocks)
-    : path_(std::move(path)),
-      block_bytes_(block_bytes),
-      compress_blocks_(compress_blocks),
-      bloom_(expected_keys) {
+                     bool compress_blocks)
+    : path_(std::move(path)), block_bytes_(block_bytes), compress_blocks_(compress_blocks) {
     meta_.file_number = file_number;
 }
 
-Status SstWriter::add(std::string_view key, std::string_view value, bool tombstone) {
+/// Order check, restart point, record header, key and key hash; the caller
+/// appends the value bytes and cuts the block once it is full.
+Status SstWriter::begin_entry(std::string_view key, std::uint32_t vlen) {
     if (have_last_ && key <= last_key_) {
         return Status::InvalidArgument("SstWriter::add keys must be strictly increasing");
     }
@@ -51,22 +50,40 @@ Status SstWriter::add(std::string_view key, std::string_view value, bool tombsto
         restarts_.push_back(static_cast<std::uint32_t>(current_block_.size()));
     }
     append_u32(current_block_, static_cast<std::uint32_t>(key.size()));
-    append_u32(current_block_, tombstone ? kTombstoneLen
-                                         : static_cast<std::uint32_t>(value.size()));
+    append_u32(current_block_, vlen);
     current_block_.append(key);
-    if (!tombstone) current_block_.append(value);
-    bloom_.insert(key);
-    block_keys_.emplace_back(key);
+    key_hashes_.push_back(BloomFilter::hash(key));
     ++block_entries_;
     ++meta_.entries;
+    return Status::OK();
+}
+
+Status SstWriter::add(std::string_view key, std::string_view value, bool tombstone) {
+    Status st = begin_entry(key, tombstone ? kTombstoneLen
+                                           : static_cast<std::uint32_t>(value.size()));
+    if (!st.ok()) return st;
+    if (!tombstone) current_block_.append(value);
+    if (current_block_.size() >= block_bytes_) cut_block();
+    return Status::OK();
+}
+
+Status SstWriter::add(std::string_view key, const Stamp& stamp, std::string_view value) {
+    Status st = begin_entry(key, static_cast<std::uint32_t>(kStampBytes + value.size()));
+    if (!st.ok()) return st;
+    append_u64(current_block_, stamp.seq);
+    append_u32(current_block_, stamp.epoch);
+    current_block_.append(value);
     if (current_block_.size() >= block_bytes_) cut_block();
     return Status::OK();
 }
 
 void SstWriter::cut_block() {
     if (current_block_.empty()) return;
-    BloomFilter block_bloom(block_keys_.size());
-    for (const auto& k : block_keys_) block_bloom.insert(k);
+    BloomFilter block_bloom(block_entries_);
+    for (auto h = key_hashes_.end() - static_cast<std::ptrdiff_t>(block_entries_);
+         h != key_hashes_.end(); ++h) {
+        block_bloom.insert_hash(*h);
+    }
     const std::string stored = encode_block(current_block_, compress_blocks_);
     index_.push_back({last_key_, file_contents_.size(), stored.size(), crc32(stored),
                       static_cast<std::uint32_t>(current_block_.size()), block_bloom.encode(),
@@ -74,7 +91,6 @@ void SstWriter::cut_block() {
     file_contents_.append(stored);
     current_block_.clear();
     block_entries_ = 0;
-    block_keys_.clear();
     restarts_.clear();
 }
 
@@ -96,7 +112,11 @@ Result<TableMeta> SstWriter::finish() {
         append_u32(index_bytes, static_cast<std::uint32_t>(e.restarts.size()));
         for (std::uint32_t r : e.restarts) append_u32(index_bytes, r);
     }
-    const std::string bloom_bytes = bloom_.encode();
+    // Sized from the real entry count, so a table cut short of its input
+    // (a compaction output) does not carry a bloom sized for all of it.
+    BloomFilter bloom(meta_.entries);
+    for (std::uint64_t h : key_hashes_) bloom.insert_hash(h);
+    const std::string bloom_bytes = bloom.encode();
 
     const std::uint64_t index_off = file_contents_.size();
     file_contents_.append(index_bytes);
@@ -309,12 +329,15 @@ Result<std::shared_ptr<const std::string>> SstReader::read_block(std::size_t idx
 }
 
 Result<std::optional<std::string>> SstReader::get(std::string_view key) {
-    if (!bloom_.may_contain(key)) return Status::NotFound("bloom miss");
+    const std::uint64_t h = BloomFilter::hash(key);
+    if (!bloom_.may_contain_hash(h)) return Status::NotFound("bloom miss");
     const std::size_t blk_idx = find_block(key);
     if (blk_idx >= index_.size()) return Status::NotFound("beyond last block");
     const IndexEntry& e = index_[blk_idx];
     // Per-block filter: a miss here skips the block fetch (and any decode).
-    if (e.has_bloom && !e.bloom.may_contain(key)) return Status::NotFound("block bloom miss");
+    if (e.has_bloom && !e.bloom.may_contain_hash(h)) {
+        return Status::NotFound("block bloom miss");
+    }
     auto blk = read_block(blk_idx);
     if (!blk.ok()) return blk.status();
     const std::string& data = **blk;
@@ -373,8 +396,8 @@ bool SstReader::Iterator::parse_current() {
     tombstone_ = (vlen == kTombstoneLen);
     const std::size_t vbytes = tombstone_ ? 0 : vlen;
     if (pos_ + 8 + klen + vbytes > block_->size()) return false;
-    key_.assign(block_->data() + pos_ + 8, klen);
-    value_.assign(block_->data() + pos_ + 8 + klen, vbytes);
+    key_ = std::string_view(block_->data() + pos_ + 8, klen);
+    value_ = std::string_view(block_->data() + pos_ + 8 + klen, vbytes);
     pos_ += 8 + klen + vbytes;
     return true;
 }
@@ -388,8 +411,7 @@ Status SstReader::Iterator::seek(std::string_view bound, bool inclusive) {
         Status st = load_block(blk);
         if (!st.ok()) return st;
         while (parse_current()) {
-            const std::string_view k(key_);
-            if (inclusive ? k >= bound : k > bound) {
+            if (inclusive ? key_ >= bound : key_ > bound) {
                 valid_ = true;
                 return Status::OK();
             }

@@ -13,7 +13,8 @@
 //                     bloom_len u32, bloom bytes (per-block filter),
 //                     restart_count u32, restart offsets (u32 each, every
 //                     16th record, offsets into the raw block)
-//   bloom:          whole-table BloomFilter over every key
+//   bloom:          whole-table BloomFilter over every key, sized for the
+//                   table's own entry count
 //   footer (56 B):  index_off u64, index_size u64, bloom_off u64,
 //                   bloom_size u64, entry_count u64, flags u64, magic2 u64
 //
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "yokan/backend.hpp"
 #include "yokan/lsm/block.hpp"
 #include "yokan/lsm/bloom.hpp"
 
@@ -45,6 +47,9 @@ inline constexpr std::uint64_t kSstMagic = 0x524F434B534C5445ULL;   // "ROCKSLTE
 inline constexpr std::uint64_t kSstMagic2 = 0x524F434B534C5432ULL;  // "ROCKSLT2" (v2)
 inline constexpr std::uint32_t kTombstoneLen = 0xFFFFFFFFu;
 inline constexpr std::size_t kRestartInterval = 16;
+/// MVCC stamp prefix on SSTable values (format-2 tables): seq u64 + epoch
+/// u32, little-endian. Tombstones carry no stamp.
+inline constexpr std::size_t kStampBytes = 12;
 
 /// Metadata tracked per table in the manifest.
 struct TableMeta {
@@ -59,27 +64,34 @@ struct TableMeta {
 };
 
 /// Streaming writer; add() must be called in strictly increasing key order.
+/// Each key is hashed once: the per-block and whole-table blooms are both
+/// built from the same hashes, the table bloom in finish() once the entry
+/// count is known.
 class SstWriter {
   public:
     SstWriter(std::string path, std::uint64_t file_number, std::size_t block_bytes,
-              std::size_t expected_keys, bool compress_blocks = false);
+              bool compress_blocks = false);
 
+    /// Append `value` verbatim (or a tombstone).
     Status add(std::string_view key, std::string_view value, bool tombstone = false);
+    /// Append `value` behind its kStampBytes MVCC stamp prefix, without
+    /// building the stamped value first.
+    Status add(std::string_view key, const Stamp& stamp, std::string_view value);
 
     /// Finish the table; returns its metadata.
     Result<TableMeta> finish();
 
   private:
+    Status begin_entry(std::string_view key, std::uint32_t vlen);
     void cut_block();
 
     std::string path_;
     TableMeta meta_;
     std::size_t block_bytes_;
     bool compress_blocks_;
-    BloomFilter bloom_;
     std::string current_block_;
     std::size_t block_entries_ = 0;
-    std::vector<std::string> block_keys_;
+    std::vector<std::uint64_t> key_hashes_;  // BloomFilter::hash of every key so far
     std::vector<std::uint32_t> restarts_;
     std::string file_contents_;
     struct IndexEntry {
@@ -115,7 +127,8 @@ class SstReader {
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
     [[nodiscard]] int format_version() const noexcept { return version_; }
 
-    /// Forward iterator over (key, value, tombstone) triples.
+    /// Forward iterator over (key, value, tombstone) triples. key() and
+    /// value() view the pinned block and stay valid until the next move.
     class Iterator {
       public:
         explicit Iterator(std::shared_ptr<SstReader> reader) : reader_(std::move(reader)) {}
@@ -140,7 +153,7 @@ class SstReader {
         std::size_t block_idx_ = 0;
         std::size_t pos_ = 0;
         bool valid_ = false;
-        std::string key_, value_;
+        std::string_view key_, value_;
         bool tombstone_ = false;
     };
 

@@ -92,6 +92,93 @@ TEST(CompressionTest, AutoPicksAValidCodecAndRoundTrips) {
     EXPECT_LE(p2.size(), 256u);
 }
 
+/// compress_auto as it was before codecs were sized by counting: encode
+/// every codec in full and keep the strictly smallest payload (raw, then
+/// varint, then delta on ties). Kept here as the reference the counting
+/// version must match decision for decision, byte for byte.
+std::pair<Codec, std::string> trial_encode_reference(const void* data, std::size_t count,
+                                                     std::size_t width) {
+    std::pair<Codec, std::string> best{Codec::kRaw, std::string()};
+    if (count == 0) return best;
+    best.second.assign(static_cast<const char*>(data), count * width);
+    for (Codec c : {Codec::kVarint, Codec::kDelta}) {
+        auto attempt = compress::compress(c, data, count, width);
+        if (attempt.ok() && attempt->size() < best.second.size()) {
+            best = {c, std::move(*attempt)};
+        }
+    }
+    return best;
+}
+
+/// Seeded corpus column for the reference comparison. kTie alternates
+/// elements one varint byte over and one under the width, so varint lands
+/// exactly on the raw size (width 1: every element < 0x80 does the same).
+enum class RefShape { kRandom, kSmall, kSorted, kSparse, kTie };
+
+std::string make_ref_column(RefShape shape, std::size_t count, std::size_t width,
+                            std::uint64_t seed) {
+    std::string data(count * width, '\0');
+    std::uint64_t state = seed;
+    std::uint64_t sorted = lcg(state) % 1000;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t v = 0;
+        switch (shape) {
+            case RefShape::kRandom: v = lcg(state) ^ (lcg(state) << 32); break;
+            case RefShape::kSmall: v = lcg(state) % 200; break;
+            case RefShape::kSorted: v = sorted += lcg(state) % 300; break;
+            case RefShape::kSparse: v = lcg(state) % 16 == 0 ? lcg(state) : 0; break;
+            case RefShape::kTie:
+                if (width == 1) {
+                    v = lcg(state) % 0x80;
+                } else {
+                    // Varint bytes w+1 then w-1: bit widths 7w+1 and 7(w-1).
+                    const std::size_t bits = i % 2 == 0 ? 7 * width + 1 : 7 * (width - 1);
+                    v = (1ull << (bits - 1)) | (lcg(state) & ((1ull << (bits - 1)) - 1));
+                }
+                break;
+        }
+        if (width < 8) v &= (1ull << (8 * width)) - 1;
+        compress::detail::store_elem(data.data(), i, width, v);
+    }
+    return data;
+}
+
+TEST(CompressionTest, AutoPickMatchesTrialEncodeReference) {
+    std::size_t ties_at_raw = 0;
+    for (std::size_t width : {1u, 4u, 8u}) {
+        for (RefShape shape : {RefShape::kRandom, RefShape::kSmall, RefShape::kSorted,
+                               RefShape::kSparse, RefShape::kTie}) {
+            for (std::size_t count = 0; count <= 600; ++count) {
+                const std::string data = make_ref_column(
+                    shape, count, width, 1000003 * count + 31 * width + static_cast<int>(shape));
+                const auto want = trial_encode_reference(data.data(), count, width);
+                const auto got = compress::compress_auto(data.data(), count, width);
+                ASSERT_EQ(got.first, want.first)
+                    << "w=" << width << " shape=" << static_cast<int>(shape) << " n=" << count;
+                ASSERT_EQ(got.second, want.second)
+                    << "w=" << width << " shape=" << static_cast<int>(shape) << " n=" << count;
+                for (Codec c : {Codec::kRaw, Codec::kVarint, Codec::kDelta}) {
+                    const std::size_t size = compress::compress(c, data.data(), count, width)->size();
+                    ASSERT_EQ(compress::compressed_size(c, data.data(), count, width), size)
+                        << to_string(c) << " w=" << width << " n=" << count;
+                    // An early stop is exact below the bound, at or past it otherwise.
+                    const std::size_t stop = count * width;
+                    const std::size_t capped =
+                        compress::compressed_size(c, data.data(), count, width, stop);
+                    if (size < stop) {
+                        ASSERT_EQ(capped, size);
+                    } else {
+                        ASSERT_GE(capped, stop);
+                    }
+                    if (c == Codec::kVarint && count > 0 && size == count * width) ++ties_at_raw;
+                }
+            }
+        }
+    }
+    // The tie shape really exercised the strict raw-wins-ties rule.
+    EXPECT_GT(ties_at_raw, 1000u);
+}
+
 TEST(CompressionTest, VarintPrimitivesAreExactAndBounded) {
     for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, (1ull << 32) - 1,
                             1ull << 32, ~0ull}) {

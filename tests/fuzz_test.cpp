@@ -708,7 +708,9 @@ TEST_P(MvccFuzzTest, HostileReadPinsAreRejectedNotFatal) {
             // A reachable pin (or 0 = latest) serves; the value, if visible,
             // is the stored one — a hostile epoch filter can hide but never
             // corrupt.
-            if (got.ok()) EXPECT_EQ(std::string(got->value.sv()), "v0");
+            if (got.ok()) {
+                EXPECT_EQ(std::string(got->value.sv()), "v0");
+            }
             ASSERT_TRUE(listed.ok()) << listed.status().to_string();
             EXPECT_LE(listed->keys.size(), 16u);
         }
@@ -720,7 +722,9 @@ TEST_P(MvccFuzzTest, HostileReadPinsAreRejectedNotFatal) {
         const std::string payload = random_bytes(rng, 192);
         auto raw = client.endpoint().call("mserver", rpcs[iter % 4], 1, payload,
                                           std::chrono::milliseconds{0});
-        if (!raw.ok()) EXPECT_FALSE(raw.status().to_string().empty());
+        if (!raw.ok()) {
+            EXPECT_FALSE(raw.status().to_string().empty());
+        }
     }
 
     // The provider survived: latest and pinned-at-head reads still work.

@@ -164,7 +164,9 @@ TEST(LsmConcurrencyTest, ReadersDuringCompaction) {
     // Reads overlapped live background work — the lock-freedom proof.
     EXPECT_GT(stats.reads_during_compaction, 0u);
     // Stall accounting is consistent (time only accrues to counted stalls).
-    if (stats.write_stalls == 0) EXPECT_EQ(stats.write_stall_micros, 0u);
+    if (stats.write_stalls == 0) {
+        EXPECT_EQ(stats.write_stall_micros, 0u);
+    }
 
     // Final state: every written key readable, values intact.
     std::uint64_t found = 0;
@@ -342,15 +344,9 @@ TEST(LsmConcurrencyTest, LockFreeActiveMemtableReadersSeeAcknowledgedWrites) {
         return std::string(buf);
     };
 
+    // Readers are queued before the writer: queued after it, they could miss
+    // the whole run if this thread is descheduled while the puts land.
     std::vector<std::shared_ptr<abt::Ult>> ults;
-    ults.push_back(abt::Ult::create(pool, [&] {
-        for (int i = 0; i < kKeys; ++i) {
-            const std::string key = key_at(i);
-            ASSERT_TRUE(db.put(key, value_for(key), true).ok());
-            acked.store(i + 1, std::memory_order_release);
-            if (i % 64 == 0) abt::yield();
-        }
-    }));
     for (int r = 0; r < 3; ++r) {
         ults.push_back(abt::Ult::create(pool, [&, r] {
             while (acked.load(std::memory_order_acquire) < kKeys) {
@@ -383,6 +379,14 @@ TEST(LsmConcurrencyTest, LockFreeActiveMemtableReadersSeeAcknowledgedWrites) {
             }
         }));
     }
+    ults.push_back(abt::Ult::create(pool, [&] {
+        for (int i = 0; i < kKeys; ++i) {
+            const std::string key = key_at(i);
+            ASSERT_TRUE(db.put(key, value_for(key), true).ok());
+            acked.store(i + 1, std::memory_order_release);
+            if (i % 64 == 0) abt::yield();
+        }
+    }));
     for (auto& u : ults) u->join();
     xs1.reset();
     xs2.reset();

@@ -464,28 +464,28 @@ TEST(LsmTest, BlockCacheServesRepeatReads) {
 
 TEST(BloomTest, NoFalseNegatives) {
     lsm::BloomFilter f(1000);
-    for (int i = 0; i < 1000; ++i) f.insert("key" + std::to_string(i));
+    for (int i = 0; i < 1000; ++i) f.insert_hash(lsm::BloomFilter::hash("key" + std::to_string(i)));
     for (int i = 0; i < 1000; ++i) {
-        EXPECT_TRUE(f.may_contain("key" + std::to_string(i)));
+        EXPECT_TRUE(f.may_contain_hash(lsm::BloomFilter::hash("key" + std::to_string(i))));
     }
 }
 
 TEST(BloomTest, LowFalsePositiveRate) {
     lsm::BloomFilter f(1000);
-    for (int i = 0; i < 1000; ++i) f.insert("key" + std::to_string(i));
+    for (int i = 0; i < 1000; ++i) f.insert_hash(lsm::BloomFilter::hash("key" + std::to_string(i)));
     int fp = 0;
     for (int i = 0; i < 10000; ++i) {
-        if (f.may_contain("absent" + std::to_string(i))) ++fp;
+        if (f.may_contain_hash(lsm::BloomFilter::hash("absent" + std::to_string(i)))) ++fp;
     }
     EXPECT_LT(fp, 300);  // ~1% expected, allow 3%
 }
 
 TEST(BloomTest, EncodeDecodeRoundTrip) {
     lsm::BloomFilter f(100);
-    for (int i = 0; i < 100; ++i) f.insert("k" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) f.insert_hash(lsm::BloomFilter::hash("k" + std::to_string(i)));
     auto g = lsm::BloomFilter::decode(f.encode());
     for (int i = 0; i < 100; ++i) {
-        EXPECT_TRUE(g.may_contain("k" + std::to_string(i)));
+        EXPECT_TRUE(g.may_contain_hash(lsm::BloomFilter::hash("k" + std::to_string(i))));
     }
 }
 
@@ -538,7 +538,7 @@ TEST(WalTest, ReplayDetectsCorruptCrc) {
 
 TEST(SstTest, WriterRequiresSortedKeys) {
     const std::string dir = temp_dir("sorted");
-    lsm::SstWriter w(dir + "/t.sst", 1, 4096, 10);
+    lsm::SstWriter w(dir + "/t.sst", 1, 4096);
     ASSERT_TRUE(w.add("b", "1").ok());
     EXPECT_FALSE(w.add("a", "2").ok());
     EXPECT_FALSE(w.add("b", "3").ok());  // duplicates rejected too
@@ -547,7 +547,7 @@ TEST(SstTest, WriterRequiresSortedKeys) {
 
 TEST(SstTest, WriteReadIterate) {
     const std::string dir = temp_dir("sst");
-    lsm::SstWriter w(dir + "/t.sst", 7, 64 /* tiny blocks */, 100);
+    lsm::SstWriter w(dir + "/t.sst", 7, 64 /* tiny blocks */);
     for (int i = 0; i < 100; ++i) {
         char key[16];
         std::snprintf(key, sizeof(key), "k%03d", i);
@@ -584,7 +584,7 @@ TEST(SstTest, WriteReadIterate) {
 
 TEST(SstTest, BlockCorruptionDetectedByChecksum) {
     const std::string dir = temp_dir("blockcrc");
-    lsm::SstWriter w(dir + "/t.sst", 3, 4096, 10);
+    lsm::SstWriter w(dir + "/t.sst", 3, 4096);
     for (int i = 0; i < 10; ++i) {
         ASSERT_TRUE(w.add("key" + std::to_string(i), std::string(50, 'v')).ok());
     }

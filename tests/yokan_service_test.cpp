@@ -217,7 +217,9 @@ TEST_F(YokanServiceTest, ScanPageReportsResumeKeyAndExhaustion) {
         auto next = db_.scan_page(after, "ev", 4);
         ASSERT_TRUE(next.ok());
         for (const auto& kv : next->items) rest.push_back(kv.key);
-        if (!next->items.empty()) EXPECT_EQ(next->last_key, next->items.back().key);
+        if (!next->items.empty()) {
+            EXPECT_EQ(next->last_key, next->items.back().key);
+        }
         after = next->last_key;
         exhausted = next->exhausted;
     }
