@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_table.hpp"
+#include "common/crc32.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "nova/generator.hpp"
@@ -130,6 +131,17 @@ void BM_WalAppend(benchmark::State& state) {
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_WalAppend)->Arg(64)->Arg(1024);
+
+// crc32 over a WAL-record-sized (200 B) and a block-sized (4 KiB) input: the
+// checksum every WAL append, table build and block read pays.
+void BM_Crc32(benchmark::State& state) {
+    std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+    Rng rng(5);
+    for (char& c : data) c = static_cast<char>(rng.next_u64());
+    for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(200)->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // Foreground-vs-background compaction ablation (BENCH_lsm_bg.json).
@@ -485,11 +497,13 @@ void BM_EncodeBlock(benchmark::State& state, bool nova_shape) {
     } else {
         for (std::uint64_t i = 0; i < 512; ++i) kv.emplace_back(key_of(i), comp_value_of(i));
     }
-    const std::vector<std::string> blocks = raw_blocks(kv);
+    std::vector<std::string> blocks = raw_blocks(kv);
     std::size_t i = 0, compressed = 0, stored = 0, raw = 0;
+    std::string env;
     for (auto _ : state) {
-        const std::string& b = blocks[i++ % blocks.size()];
-        const std::string env = lsm::encode_block(b, true);
+        std::string& b = blocks[i++ % blocks.size()];
+        env.clear();
+        lsm::encode_block(b, true, env);
         compressed += lsm::block_is_compressed(env);
         stored += env.size();
         raw += b.size();

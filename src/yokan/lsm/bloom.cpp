@@ -4,13 +4,12 @@
 
 namespace hep::yokan::lsm {
 
-std::string BloomFilter::encode() const {
-    std::string out;
-    out.resize(8 + bits_.size() * 8);
+void BloomFilter::append_to(std::string& out) const {
+    const std::size_t at = out.size();
+    out.resize(at + encoded_size());
     const std::uint64_t n = bits_.size();
-    std::memcpy(out.data(), &n, 8);
-    std::memcpy(out.data() + 8, bits_.data(), bits_.size() * 8);
-    return out;
+    std::memcpy(out.data() + at, &n, 8);
+    std::memcpy(out.data() + at + 8, bits_.data(), bits_.size() * 8);
 }
 
 BloomFilter BloomFilter::decode(std::string_view bytes) {
@@ -21,6 +20,7 @@ BloomFilter BloomFilter::decode(std::string_view bytes) {
     if (bytes.size() < 8 + n * 8) return f;
     f.bits_.resize(n);
     std::memcpy(f.bits_.data(), bytes.data() + 8, n * 8);
+    f.set_divisor();
     return f;
 }
 

@@ -2,6 +2,7 @@
 // the standard LSM read-amplification mitigation (RocksDB does the same).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -14,10 +15,14 @@ namespace hep::yokan::lsm {
 class BloomFilter {
   public:
     /// Build an empty filter sized for `expected_keys` at ~1% FPR.
-    explicit BloomFilter(std::size_t expected_keys = 0) {
+    explicit BloomFilter(std::size_t expected_keys = 0) { reset(expected_keys); }
+
+    /// Clear and resize for `expected_keys` (keeps the word storage).
+    void reset(std::size_t expected_keys) {
         // ~10 bits/key, 7 hashes gives ~0.8% FPR.
         const std::size_t bits = std::max<std::size_t>(64, expected_keys * 10);
         bits_.assign((bits + 63) / 64, 0);
+        set_divisor();
     }
 
     /// The one hash a key is filtered by; both probe sequences derive from
@@ -26,20 +31,21 @@ class BloomFilter {
 
     void insert_hash(std::uint64_t h) {
         const std::uint64_t h2 = mix64(h) | 1;  // odd second hash avoids cycling
-        for (std::uint32_t i = 0; i < kHashes; ++i) set_bit((h + i * h2) % bit_count());
+        for (std::uint32_t i = 0; i < kHashes; ++i) set_bit(bit_of(h + i * h2));
     }
 
     [[nodiscard]] bool may_contain_hash(std::uint64_t h) const {
         if (bits_.empty()) return false;
         const std::uint64_t h2 = mix64(h) | 1;
         for (std::uint32_t i = 0; i < kHashes; ++i) {
-            if (!get_bit((h + i * h2) % bit_count())) return false;
+            if (!get_bit(bit_of(h + i * h2))) return false;
         }
         return true;
     }
 
     /// Serialize to bytes (u64 word count + words) / restore from bytes.
-    [[nodiscard]] std::string encode() const;
+    void append_to(std::string& out) const;
+    [[nodiscard]] std::size_t encoded_size() const noexcept { return 8 + bits_.size() * 8; }
     static BloomFilter decode(std::string_view bytes);
 
     [[nodiscard]] std::size_t bit_count() const noexcept { return bits_.size() * 64; }
@@ -47,12 +53,28 @@ class BloomFilter {
   private:
     static constexpr std::uint32_t kHashes = 7;
 
+    /// x % bit_count() without a divide: Lemire, Kaser & Kurz, "Faster
+    /// Remainder by Direct Computation" (fastmod_u64), exact for every
+    /// 64-bit x with the 128-bit reciprocal set_divisor() precomputes.
+    [[nodiscard]] std::uint64_t bit_of(std::uint64_t x) const noexcept {
+        using u128 = unsigned __int128;
+        const u128 low = recip_ * x;  // fractional part of x / bit_count()
+        const u128 d = bit_count();
+        const u128 bottom = ((low & ~std::uint64_t{0}) * d) >> 64;
+        return static_cast<std::uint64_t>((bottom + (low >> 64) * d) >> 64);
+    }
+    void set_divisor() noexcept {
+        const unsigned __int128 all_ones = ~static_cast<unsigned __int128>(0);
+        recip_ = bits_.empty() ? 0 : all_ones / bit_count() + 1;
+    }
+
     void set_bit(std::size_t i) { bits_[i / 64] |= (1ULL << (i % 64)); }
     [[nodiscard]] bool get_bit(std::size_t i) const {
         return (bits_[i / 64] >> (i % 64)) & 1ULL;
     }
 
     std::vector<std::uint64_t> bits_;
+    unsigned __int128 recip_ = 0;
 };
 
 }  // namespace hep::yokan::lsm

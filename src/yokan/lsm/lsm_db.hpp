@@ -91,6 +91,7 @@ struct LsmStats {
     std::uint64_t compactions = 0;
     std::uint64_t compactions_background = 0;
     std::uint64_t compactions_inline = 0;
+    std::uint64_t trivial_moves = 0;  // compactions done as a manifest edit only
     std::uint64_t sst_files_written = 0;
     std::uint64_t cache_hits = 0;            // decoded + compressed tier hits
     std::uint64_t cache_misses = 0;
@@ -195,6 +196,12 @@ class LsmDb final : public Database {
     Status drain_work(bool background);
     Status flush_oldest_imm();
     Status compact_level(std::size_t level);
+    /// compact_level's trivial move: the oldest table of `level` (>= 1),
+    /// which overlaps nothing in level+1, re-filed there by one manifest
+    /// edit. `levels` is the caller's working copy of the level lists.
+    Status move_table(std::size_t level, std::vector<std::vector<TableHandle>> levels);
+    /// Publish a Version with compaction's new level lists (imm queue as now).
+    void install_levels(std::vector<std::vector<TableHandle>> levels);
     /// Level needing compaction in `v`, or npos.
     [[nodiscard]] std::size_t compaction_candidate(const Version& v) const;
     void set_background_error(const Status& st);

@@ -1,5 +1,5 @@
 // Unit and property tests for src/common: status, endian encoding, hashing,
-// consistent-hash ring, UUIDs, RNG, JSON.
+// consistent-hash ring, UUIDs, RNG, JSON, CRC32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/endian.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
@@ -110,6 +111,73 @@ TEST(HashTest, Mix64Avalanches) {
     const double avg = static_cast<double>(total_flips) / kTrials;
     EXPECT_GT(avg, 24.0);
     EXPECT_LT(avg, 40.0);
+}
+
+// ----------------------------------------------------------------- CRC32 ---
+
+/// Bit-at-a-time reference over the reflected IEEE polynomial, independent
+/// of every table in crc32.hpp: one byte into the pre-inverted state.
+std::uint32_t crc32_reference_step(std::uint32_t state, char ch) {
+    state ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) state = (state & 1) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    return state;
+}
+
+std::uint32_t crc32_reference(std::string_view data) {
+    std::uint32_t state = ~0u;
+    for (char ch : data) state = crc32_reference_step(state, ch);
+    return ~state;
+}
+
+std::string crc32_test_bytes(std::size_t n) {
+    Rng rng(0xC3C3);
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(rng.next_u64());
+    return out;
+}
+
+TEST(Crc32Test, CheckValue) {
+    static_assert(crc32("123456789") == 0xCBF43926u);  // constant-evaluated loop
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(check), 0xCBF43926u);
+    EXPECT_EQ(detail::crc32_portable(check), 0xCBF43926u);
+    EXPECT_EQ(crc32(""), 0u);
+}
+
+TEST(Crc32Test, DispatchedAndPortableMatchReferenceAtEveryAlignment) {
+    // Offsets 0-15 put the 16-byte folding loads at every misalignment;
+    // lengths cross the 64-byte PCLMUL threshold and every tail size.
+    const std::string buf = crc32_test_bytes(8192 + 16);
+    const std::string_view all(buf);
+    for (std::size_t off = 0; off < 16; ++off) {
+        std::uint32_t state = ~0u;  // reference over all.substr(off, len), grown a byte a time
+        for (std::size_t len = 0; len <= 8192; ++len) {
+            const std::string_view v = all.substr(off, len);
+            ASSERT_EQ(crc32(v), ~state) << "off " << off << " len " << len;
+            ASSERT_EQ(detail::crc32_portable(v), ~state) << "off " << off << " len " << len;
+            state = crc32_reference_step(state, all[off + len]);
+        }
+    }
+}
+
+TEST(Crc32Test, ChainedCallsMatchOneShot) {
+    const std::string buf = crc32_test_bytes(5000);
+    const std::string_view all(buf);
+    const std::uint32_t want = crc32_reference(all);
+    for (std::size_t cut : {0, 1, 15, 63, 64, 65, 200, 4096, 4999, 5000}) {
+        EXPECT_EQ(crc32(all.substr(cut), crc32(all.substr(0, cut))), want) << cut;
+        EXPECT_EQ(detail::crc32_portable(all.substr(cut),
+                                         detail::crc32_portable(all.substr(0, cut))),
+                  want)
+            << cut;
+    }
+    // Many small and large pieces, alternating paths.
+    std::uint32_t crc = 0;
+    for (std::size_t pos = 0, step = 1; pos < all.size(); pos += step, step = step * 3 % 197 + 1) {
+        const std::string_view piece = all.substr(pos, step);
+        crc = (pos % 2) ? crc32(piece, crc) : detail::crc32_portable(piece, crc);
+    }
+    EXPECT_EQ(crc, want);
 }
 
 TEST(HashRingTest, LookupIsStable) {

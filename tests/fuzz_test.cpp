@@ -318,19 +318,20 @@ TEST(LsmInternalsFuzzTest, SkiplistMatchesMapUnderInterleavedOpsAndSeeks) {
 
 TEST(LsmInternalsFuzzTest, DecodeBlockNeverCrashesOnHostileEnvelopes) {
     Rng rng(4242);
-    std::string out;
+    yokan::lsm::BlockBuffer scratch;
     for (int i = 0; i < 2000; ++i) {
         std::string bytes(rng.uniform(0, 200), '\0');
         for (auto& c : bytes) c = static_cast<char>(rng.next_u64() & 0xFF);
-        (void)yokan::lsm::decode_block(bytes, out);  // any Status, no crash
+        (void)yokan::lsm::decode_block(bytes, scratch);  // any Status, no crash
     }
     // Single-byte corruption of a valid envelope either round-trips (the
     // flipped byte was payload of a raw envelope) or errors — never crashes.
-    const std::string good = yokan::lsm::encode_block(std::string(128, '\0'), true);
+    std::string block(128, '\0'), good;
+    yokan::lsm::encode_block(block, true, good);
     for (int i = 0; i < 500; ++i) {
         std::string bad = good;
         bad[rng.uniform(0, bad.size() - 1)] ^= static_cast<char>(1 + (rng.next_u64() & 0xFF));
-        (void)yokan::lsm::decode_block(bad, out);
+        (void)yokan::lsm::decode_block(bad, scratch);
     }
 }
 

@@ -483,7 +483,10 @@ TEST(BloomTest, LowFalsePositiveRate) {
 TEST(BloomTest, EncodeDecodeRoundTrip) {
     lsm::BloomFilter f(100);
     for (int i = 0; i < 100; ++i) f.insert_hash(lsm::BloomFilter::hash("k" + std::to_string(i)));
-    auto g = lsm::BloomFilter::decode(f.encode());
+    std::string bytes;
+    f.append_to(bytes);
+    EXPECT_EQ(bytes.size(), f.encoded_size());
+    auto g = lsm::BloomFilter::decode(bytes);
     for (int i = 0; i < 100; ++i) {
         EXPECT_TRUE(g.may_contain_hash(lsm::BloomFilter::hash("k" + std::to_string(i))));
     }
