@@ -27,6 +27,11 @@ constexpr std::uint64_t kTagWalFloor = 3;
 constexpr std::uint64_t kTagAddTable = 4;
 constexpr std::uint64_t kTagDeleteTable = 5;
 
+// Bits of an added table's flags varint. Manifests written before
+// kTableTombstoneFree hold 0 or 1 there, which read as "may hold tombstones".
+constexpr std::uint64_t kTableHasMeta = 1;
+constexpr std::uint64_t kTableTombstoneFree = 2;
+
 void put_string(std::string& out, std::string_view s) {
     compress::put_varint(out, s.size());
     out.append(s);
@@ -80,7 +85,8 @@ std::string VersionEdit::encode() const {
         compress::put_varint(out, meta.file_number);
         compress::put_varint(out, meta.entries);
         compress::put_varint(out, meta.bytes);
-        compress::put_varint(out, meta.has_meta ? 1 : 0);
+        compress::put_varint(out, (meta.has_meta ? kTableHasMeta : 0) |
+                                      (meta.tombstone_free ? kTableTombstoneFree : 0));
         put_string(out, meta.min_key);
         put_string(out, meta.max_key);
     }
@@ -114,18 +120,19 @@ Result<VersionEdit> VersionEdit::decode(std::string_view payload) {
                 edit.wal_floor = v;
                 continue;
             case kTagAddTable: {
-                std::uint64_t level = 0, has_meta = 0;
+                std::uint64_t level = 0, flags = 0;
                 TableMeta meta;
                 if (!compress::get_varint(payload, pos, level) ||
                     !compress::get_varint(payload, pos, meta.file_number) ||
                     !compress::get_varint(payload, pos, meta.entries) ||
                     !compress::get_varint(payload, pos, meta.bytes) ||
-                    !compress::get_varint(payload, pos, has_meta) ||
+                    !compress::get_varint(payload, pos, flags) ||
                     !get_string(payload, pos, meta.min_key) ||
                     !get_string(payload, pos, meta.max_key)) {
                     break;
                 }
-                meta.has_meta = has_meta != 0;
+                meta.has_meta = (flags & kTableHasMeta) != 0;
+                meta.tombstone_free = (flags & kTableTombstoneFree) != 0;
                 edit.added.emplace_back(static_cast<std::uint32_t>(level), std::move(meta));
                 continue;
             }

@@ -179,6 +179,50 @@ TEST(CompressionTest, AutoPickMatchesTrialEncodeReference) {
     EXPECT_GT(ties_at_raw, 1000u);
 }
 
+TEST(CompressionTest, EveryCountingKernelBuildMatchesTheBaseline) {
+    // compressed_size runs only the build this CPU picks; check each build
+    // the CPU can run, so the baseline (the only one older CPUs get) is
+    // covered on hosts that pick v4, and v4 is checked against it.
+    const compress::detail::CountKernel baseline = compress::detail::count_kernel_baseline();
+    std::vector<compress::detail::CountKernel> kernels{baseline};
+    if (auto v4 = compress::detail::count_kernel_v4()) kernels.push_back(v4);
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 0; n <= 200; ++n) counts.push_back(n);
+    for (std::size_t n : {255u, 256u, 257u, 544u, 1000u, 4097u}) counts.push_back(n);
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    for (auto kernel : kernels) {
+        for (std::size_t width : {1u, 4u, 8u}) {
+            for (Shape shape : {Shape::kZeros, Shape::kSmall, Shape::kSequential,
+                                Shape::kRandom, Shape::kMax}) {
+                for (std::size_t count : counts) {
+                    const std::string data = make_column(shape, count, width, 7 * count + width);
+                    const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+                    for (Codec c : {Codec::kVarint, Codec::kDelta}) {
+                        const std::size_t size =
+                            compress::compress(c, data.data(), count, width)->size();
+                        ASSERT_EQ(kernel(c, p, count, width, kMax), size)
+                            << to_string(c) << " w=" << width << " n=" << count;
+                        for (std::size_t stop : {std::size_t{0}, std::size_t{1}, size / 2, size,
+                                                 size + 1, count * width}) {
+                            const std::size_t got = kernel(c, p, count, width, stop);
+                            // Exact below the bound, at or past it otherwise,
+                            // and the same early stop as the baseline.
+                            if (size < stop) {
+                                ASSERT_EQ(got, size);
+                            } else {
+                                ASSERT_GE(got, stop);
+                            }
+                            ASSERT_EQ(got, baseline(c, p, count, width, stop))
+                                << to_string(c) << " w=" << width << " n=" << count
+                                << " stop=" << stop;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(CompressionTest, VarintPrimitivesAreExactAndBounded) {
     for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, (1ull << 32) - 1,
                             1ull << 32, ~0ull}) {
