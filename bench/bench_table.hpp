@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace hep::bench {
@@ -34,15 +35,29 @@ inline std::string fmt_throughput(double slices_per_s) {
     return buf;
 }
 
+/// Run a bench's print_reproduction(): its verdict if it returns bool,
+/// otherwise true.
+template <typename PrintFn>
+bool reproduce(PrintFn&& print_fn) {
+    if constexpr (std::is_same_v<std::invoke_result_t<PrintFn>, bool>) {
+        return print_fn();
+    } else {
+        print_fn();
+        return true;
+    }
+}
+
 }  // namespace hep::bench
 
-/// Each figure bench defines `void print_reproduction();` and uses this main.
+/// Each figure bench defines `print_reproduction()` and uses this main. A
+/// bench whose print_reproduction() returns bool reports whether every bar it
+/// printed passed: the process then exits 1 on a FAIL.
 #define HEP_BENCH_MAIN(print_fn)                                  \
     int main(int argc, char** argv) {                            \
-        print_fn();                                               \
+        const bool pass = ::hep::bench::reproduce(print_fn);      \
         ::benchmark::Initialize(&argc, argv);                     \
         if (::benchmark::ReportUnrecognizedArguments(argc, argv)) \
             return 1;                                             \
         ::benchmark::RunSpecifiedBenchmarks();                    \
-        return 0;                                                 \
+        return pass ? 0 : 1;                                      \
     }

@@ -60,13 +60,12 @@ LeaseCache::Lookup LeaseCache::lookup_locked(std::string_view key, Clock::time_p
         unlink_locked(it->second);
         return {};
     }
-    const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(now - e.filled_at);
-    if (age.count() >= static_cast<std::int64_t>(opts_.lease_ms)) {
+    if (expired(e, now)) {
         ++counters_.lease_expiries;
         return {LookupState::kExpired, e.value, e.seq, e.vseq, e.vepoch};
     }
     ++counters_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch
+    promote_locked(it->second);
     return {LookupState::kHit, e.value, e.seq, e.vseq, e.vepoch};
 }
 
@@ -90,15 +89,55 @@ void LeaseCache::fill_many(std::vector<std::string>&& keys,
         std::lock_guard<std::mutex> lock(mu_);
         const auto now = Clock::now();
         for (std::size_t i = start; i < end; ++i) {
-            if (values[i]) fill_locked(std::move(keys[i]), *values[i], seq, t, 0, 0, now);
+            if (values[i]) fill_cold_locked(std::move(keys[i]), *values[i], seq, t, now);
         }
     }
+}
+
+void LeaseCache::fill_cold_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
+                                  const Ticket& t, Clock::time_point now) {
+    if (auto it = index_.find(key); it != index_.end()) {
+        // A refetch of a cached key (its lease lapsed and the seq moved):
+        // update in place, keeping the entry's position and mark.
+        Entry& e = *it->second;
+        bytes_ -= entry_bytes(e);
+        e.value = std::move(value);
+        e.seq = seq;
+        e.vseq = 0;
+        e.vepoch = 0;
+        e.epochs = t;
+        e.filled_at = now;
+        bytes_ += entry_bytes(e);
+        ++counters_.fills;
+        evict_locked();
+        return;
+    }
+    const std::size_t need = key.size() + value.size();
+    while (!lru_.empty() &&
+           (lru_.size() >= opts_.max_entries || bytes_ + need > opts_.capacity_bytes)) {
+        const Entry& tail = lru_.back();
+        if (tail.cold && current(tail.epochs) && !expired(tail, now)) {
+            // The tail is an earlier fill of this scan that nothing has used
+            // yet: evicting it for this one would only trade one unused
+            // entry for another.
+            ++counters_.skipped_fills;
+            return;
+        }
+        ++counters_.evictions;
+        unlink_locked(std::prev(lru_.end()));
+    }
+    cold_begin_ = lru_.insert(cold_begin_,
+                              Entry{std::move(key), std::move(value), seq, 0, 0, true, t, now});
+    index_.emplace(cold_begin_->key, cold_begin_);
+    bytes_ += need;
+    ++counters_.fills;
+    evict_locked();  // only an entry larger than the whole byte bound is left over
 }
 
 void LeaseCache::fill_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
                              const Ticket& t, std::uint64_t vseq, std::uint32_t vepoch,
                              Clock::time_point now) {
-    lru_.push_front(Entry{std::move(key), std::move(value), seq, vseq, vepoch, t, now});
+    lru_.push_front(Entry{std::move(key), std::move(value), seq, vseq, vepoch, false, t, now});
     bytes_ += entry_bytes(lru_.front());
     // One probe finds-or-inserts; replacing an entry (rare) re-keys the
     // index to the new entry's string.
@@ -107,6 +146,7 @@ void LeaseCache::fill_locked(std::string&& key, hep::BufferView value, std::uint
         const auto old = slot->second;
         index_.erase(slot);
         bytes_ -= entry_bytes(*old);
+        if (old == cold_begin_) ++cold_begin_;
         lru_.erase(old);
         index_.emplace(lru_.front().key, lru_.begin());
     }
@@ -116,6 +156,27 @@ void LeaseCache::fill_locked(std::string&& key, hep::BufferView value, std::uint
 
 bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t) {
     std::lock_guard<std::mutex> lock(mu_);
+    return renew_locked(key, seq, t, Clock::now());
+}
+
+std::vector<bool> LeaseCache::renew_many(const std::vector<std::string>& keys,
+                                         const std::vector<std::uint64_t>& seen,
+                                         std::uint64_t seq, const Ticket& t) {
+    std::vector<bool> out;
+    out.reserve(keys.size());
+    for (std::size_t start = 0; start < keys.size(); start += kLockChunk) {
+        const std::size_t end = std::min(start + kLockChunk, keys.size());
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (std::size_t i = start; i < end; ++i) {
+            out.push_back(seen[i] == seq && renew_locked(keys[i], seq, t, now));
+        }
+    }
+    return out;
+}
+
+bool LeaseCache::renew_locked(std::string_view key, std::uint64_t seq, const Ticket& t,
+                              Clock::time_point now) {
     auto it = index_.find(key);
     if (it == index_.end()) return false;
     Entry& e = *it->second;
@@ -128,10 +189,16 @@ bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t)
     if (e.epochs.db_epoch_ != t.db_epoch_ || e.epochs.target_epoch_ != t.target_epoch_) {
         return false;
     }
-    e.filled_at = Clock::now();
-    lru_.splice(lru_.begin(), lru_, it->second);
+    e.filled_at = now;
+    promote_locked(it->second);
     ++counters_.renewals;
     return true;
+}
+
+void LeaseCache::promote_locked(List::iterator it) {
+    if (it == cold_begin_) ++cold_begin_;
+    it->cold = false;
+    lru_.splice(lru_.begin(), lru_, it);
 }
 
 void LeaseCache::erase(std::string_view key) {
@@ -155,6 +222,7 @@ void LeaseCache::bump_target(const std::string& target) {
 void LeaseCache::clear() {
     std::lock_guard<std::mutex> lock(mu_);
     lru_.clear();
+    cold_begin_ = lru_.end();
     index_.clear();
     bytes_ = 0;
 }
@@ -199,6 +267,7 @@ json::Value LeaseCache::stats_json() const {
     out["stale_drops"] = c.stale_drops;
     out["lease_expiries"] = c.lease_expiries;
     out["renewals"] = c.renewals;
+    out["skipped_fills"] = c.skipped_fills;
     out["hit_latency_ms"] = hit_latency_.to_json();
     out["miss_latency_ms"] = miss_latency_.to_json();
     return out;
@@ -207,6 +276,7 @@ json::Value LeaseCache::stats_json() const {
 void LeaseCache::unlink_locked(List::iterator it) {
     bytes_ -= entry_bytes(*it);
     index_.erase(it->key);
+    if (it == cold_begin_) ++cold_begin_;
     lru_.erase(it);
 }
 

@@ -25,6 +25,20 @@
 // mutation lands between the read and the insert, the entry is born with an
 // outdated epoch and the next lookup rejects it — the classic
 // read-fill/write race cannot resurrect an overwritten value.
+//
+// Insertion policy. Single-key fills (point reads) insert at the MRU end:
+// plain LRU. Bulk fills (fill_many: the PEP and Prefetcher pages) insert at
+// the cold end with a "cold" mark, the LIP/BIP family of Qureshi et al.,
+// "Adaptive Insertion Policies for High Performance Caching" (ISCA 2007): a
+// lookup hit or a renewal promotes an entry to MRU and clears the mark.
+// Cold entries sit together at the LRU end, newest first, so the tail is
+// the oldest cold entry. To make room, a bulk fill evicts the tail only if
+// it is hot, stale or expired; a current, never-hit bulk fill at the tail
+// means the new fill could only displace another fill of the same scan, so
+// it is skipped (Counters::skipped_fills). A scan that cycles over more keys
+// than the cache holds then keeps a resident set across passes instead of
+// evicting every entry before its next use, and cold entries left stale by
+// an epoch bump are the first a later bulk pass replaces.
 #pragma once
 
 #include <atomic>
@@ -103,10 +117,11 @@ class LeaseCache {
         std::uint64_t target_epoch_;
     };
 
-    /// Serve `key` if present: kHit moves the entry to the MRU end and hands
-    /// out its (refcounted, zero-copy) view; kExpired returns the value so
-    /// the caller may revalidate-and-renew; epoch-stale entries are dropped
-    /// and reported as a miss.
+    /// Serve `key` if present: kHit moves the entry to the MRU end (clearing
+    /// its cold mark) and hands out its (refcounted, zero-copy) view;
+    /// kExpired returns the value, without a touch, so the caller may
+    /// revalidate-and-renew; epoch-stale entries are dropped and reported as
+    /// a miss.
     Lookup lookup(std::string_view key);
 
     /// lookup() of every key, in order: result i answers keys[i], with the
@@ -122,9 +137,13 @@ class LeaseCache {
     void fill(std::string key, hep::BufferView value, std::uint64_t seq, const Ticket& t,
               std::uint64_t vseq = 0, std::uint32_t vepoch = 0);
 
-    /// fill() of one bulk read's reply: keys[i] gets values[i], all with
+    /// Bulk fill of one bulk read's reply: keys[i] gets values[i], all with
     /// `seq` and `t`; a value the owner did not have (nullopt) is not
-    /// cached. Keys are moved into the entries. Same locking as lookup_many.
+    /// cached. Unlike fill(), a new key enters the cold segment at the LRU
+    /// end, and is skipped when making room would evict a current cold entry
+    /// (see the file comment); a key already cached is updated in place,
+    /// keeping its position and mark. Keys are moved into the entries. Same
+    /// locking as lookup_many.
     void fill_many(std::vector<std::string>&& keys,
                    const std::vector<std::optional<hep::BufferView>>& values, std::uint64_t seq,
                    const Ticket& t);
@@ -133,9 +152,21 @@ class LeaseCache {
     /// unchanged. `t` must have been captured BEFORE the seq probe: a
     /// failover promotion (or any mutation) between the probe and this call
     /// bumps an epoch past the ticket's and the renewal is refused — a
-    /// demoted primary cannot keep its stale leases alive. Returns false if
-    /// the entry is gone, its seq moved, or the ticket's epochs are stale.
+    /// demoted primary cannot keep its stale leases alive. A renewal moves
+    /// the entry to the MRU end like a hit. Returns false if the entry is
+    /// gone, its seq moved, or the ticket's epochs are stale.
     bool renew(std::string_view key, std::uint64_t seq, const Ticket& t);
+
+    /// renew() of every key against one seq probe: result i answers keys[i].
+    /// `seen[i]` is the seq that lookup_many returned with the value the
+    /// caller holds for keys[i]; unless it equals `seq` the renewal is
+    /// refused, since a refetch that updated the entry in place after the
+    /// lookup would otherwise renew the new value's lease while the caller
+    /// serves the old one. Otherwise the same contract and effects as one
+    /// renew() per key; same locking as lookup_many.
+    std::vector<bool> renew_many(const std::vector<std::string>& keys,
+                                 const std::vector<std::uint64_t>& seen, std::uint64_t seq,
+                                 const Ticket& t);
 
     void erase(std::string_view key);
 
@@ -171,6 +202,7 @@ class LeaseCache {
         std::uint64_t stale_drops = 0;     // lookups rejected by an epoch mismatch
         std::uint64_t lease_expiries = 0;  // lookups past the lease window
         std::uint64_t renewals = 0;        // successful revalidations
+        std::uint64_t skipped_fills = 0;   // bulk fills refused by a cold tail
     };
     [[nodiscard]] Counters counters() const;
 
@@ -186,7 +218,8 @@ class LeaseCache {
         std::uint64_t seq = 0;
         std::uint64_t vseq = 0;    // value's MVCC stamp (0 = unknown)
         std::uint32_t vepoch = 0;
-        Ticket epochs;  // the fill's ticket
+        bool cold = false;  // bulk-filled and neither hit nor renewed since
+        Ticket epochs;      // the fill's ticket
         Clock::time_point filled_at;
     };
     using List = std::list<Entry>;
@@ -198,10 +231,18 @@ class LeaseCache {
     [[nodiscard]] static bool current(const Ticket& t) noexcept {
         return *t.db_slot_ == t.db_epoch_ && *t.target_slot_ == t.target_epoch_;
     }
+    [[nodiscard]] bool expired(const Entry& e, Clock::time_point now) const noexcept {
+        return now - e.filled_at >= std::chrono::milliseconds(opts_.lease_ms);
+    }
     Lookup lookup_locked(std::string_view key, Clock::time_point now);
     void fill_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
                      const Ticket& t, std::uint64_t vseq, std::uint32_t vepoch,
                      Clock::time_point now);
+    void fill_cold_locked(std::string&& key, hep::BufferView value, std::uint64_t seq,
+                          const Ticket& t, Clock::time_point now);
+    bool renew_locked(std::string_view key, std::uint64_t seq, const Ticket& t,
+                      Clock::time_point now);
+    void promote_locked(List::iterator it);
     void unlink_locked(List::iterator it);
     void evict_locked();
 
@@ -209,7 +250,8 @@ class LeaseCache {
     std::atomic<bool> bypass_{false};
 
     mutable std::mutex mu_;
-    List lru_;  // front = MRU
+    List lru_;  // front = MRU; cold entries form the tail segment
+    List::iterator cold_begin_ = lru_.end();  // first cold entry, or end()
     std::unordered_map<std::string_view, List::iterator> index_;  // views of Entry::key
     // Epoch counters, interned: tickets and entries point at these map
     // nodes, which never move and are never erased.

@@ -17,6 +17,7 @@ void reset_buffer_counters() noexcept {
     c.flattens.store(0, std::memory_order_relaxed);
     c.chains_sent.store(0, std::memory_order_relaxed);
     c.chain_segments_sent.store(0, std::memory_order_relaxed);
+    c.undersized_receives.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hep

@@ -41,6 +41,7 @@ struct BufferCounters {
     std::atomic<std::uint64_t> flattens{0};        // chain -> contiguous rebuilds
     std::atomic<std::uint64_t> chains_sent{0};     // payload chains shipped
     std::atomic<std::uint64_t> chain_segments_sent{0};
+    std::atomic<std::uint64_t> undersized_receives{0};  // receive buffers re-posted larger
 };
 
 BufferCounters& buffer_counters() noexcept;

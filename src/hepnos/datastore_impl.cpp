@@ -277,33 +277,91 @@ Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::load_products
         dbs_[static_cast<std::size_t>(Role::kProducts)][db_index].with_class(qos::kClassBatch);
     if (pin != nullptr && pin->pinned()) {
         // Snapshot-pinned bulk loads never touch the (latest-value) cache.
-        return db.with_snapshot(*pin).get_multi_views(keys);
+        return get_multi_sized(db.with_snapshot(*pin), keys);
     }
-    if (!cache_ || cache_->bypass() || keys.empty()) return db.get_multi_views(keys);
+    if (!cache_ || cache_->bypass() || keys.empty()) return get_multi_sized(db, keys);
 
     std::vector<std::optional<hep::BufferView>> out(keys.size());
     std::vector<std::string> missing;
     std::vector<std::size_t> slots;
+    std::vector<std::string> expired;
+    std::vector<std::uint64_t> expired_seqs;
+    std::vector<std::size_t> expired_slots;
     auto found = cache_->lookup_many(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (found[i].state == cache::LeaseCache::LookupState::kHit) {
-            out[i] = std::move(found[i].value);
-        } else {
-            missing.push_back(keys[i]);
-            slots.push_back(i);
+        switch (found[i].state) {
+            case cache::LeaseCache::LookupState::kHit:
+                out[i] = std::move(found[i].value);
+                break;
+            case cache::LeaseCache::LookupState::kExpired:
+                expired.push_back(keys[i]);
+                expired_seqs.push_back(found[i].seq);
+                expired_slots.push_back(i);
+                break;
+            case cache::LeaseCache::LookupState::kMiss:
+                missing.push_back(keys[i]);
+                slots.push_back(i);
+                break;
         }
     }
-    if (missing.empty()) return out;
+    if (missing.empty() && expired.empty()) return out;
+
+    // One ticket, captured before any read of this page goes out, brackets
+    // both the seq probe and the get_multi (see read_product).
+    const auto ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
+    if (!expired.empty()) {
+        // Lapsed leases revalidate with one seq probe for the whole page;
+        // only entries whose seq moved (or whose renewal is refused) are
+        // refetched with the misses. The seqs this lookup saw go along, so
+        // an entry another reader refetched in place since is not renewed
+        // under the value held here.
+        auto probed = db.mutation_seq();
+        const auto renewed = probed.ok()
+                                 ? cache_->renew_many(expired, expired_seqs, *probed, ticket)
+                                 : std::vector<bool>(expired.size(), false);
+        for (std::size_t j = 0; j < expired.size(); ++j) {
+            const std::size_t i = expired_slots[j];
+            if (renewed[j]) {
+                out[i] = std::move(found[i].value);
+            } else {
+                missing.push_back(std::move(expired[j]));
+                slots.push_back(i);
+            }
+        }
+        if (missing.empty()) return out;
+    }
 
     // The seq rides the get_multi response (sampled server-side before the
     // reads), so versioned bulk fills cost no extra RPC.
-    const auto ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
     std::uint64_t seq = 0;
-    auto fetched = db.get_multi_views(missing, 1 << 20, &seq);
+    auto fetched = get_multi_sized(db, missing, &seq);
     if (!fetched.ok()) return fetched.status();
     cache_->fill_many(std::move(missing), *fetched, seq, ticket);
     for (std::size_t j = 0; j < slots.size(); ++j) out[slots[j]] = std::move((*fetched)[j]);
     return out;
+}
+
+Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::get_multi_sized(
+    const yokan::DatabaseHandle& db, const std::vector<std::string>& keys,
+    std::uint64_t* seq_out) {
+    // The last reply's bytes per key plus 1/8 headroom: the receive slab
+    // holds about what is fetched, so cached views pin little else, and the
+    // retry at the exact size in get_multi_views catches a page that runs
+    // larger. A page of a few keys (the misses left among hits) varies
+    // most per key, so the headroom is at least a few keys' worth, and such
+    // a page does not move the estimate.
+    constexpr std::size_t kMinHeadroomKeys = 4;
+    constexpr std::size_t kMinEstimateKeys = 64;
+    const std::size_t n = keys.size();
+    const std::size_t per_key = bulk_bytes_per_key_.load(std::memory_order_relaxed);
+    auto r = db.get_multi_views(keys, per_key * (n + std::max(n / 8, kMinHeadroomKeys)),
+                                seq_out);
+    if (r.ok() && n > 0 && (n >= kMinEstimateKeys || per_key == 0)) {
+        std::size_t bytes = 0;
+        for (const auto& v : *r) bytes += v ? v->size() : 0;
+        bulk_bytes_per_key_.store((bytes + n - 1) / n, std::memory_order_relaxed);
+    }
+    return r;
 }
 
 void DataStoreImpl::invalidate_products(const yokan::DatabaseHandle& handle,

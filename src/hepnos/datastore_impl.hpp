@@ -184,8 +184,10 @@ class DataStoreImpl {
     /// Bulk read-through for the prefetch paths (Prefetcher / parallel event
     /// processor): serve what the local cache can, fetch the rest with one
     /// batch-class get_multi on products database `db_index`, and fill the
-    /// cache with the result. Result order matches `keys`. A pinned `pin`
-    /// skips the cache and resolves the whole batch at that snapshot.
+    /// cache with the result. Expired entries of the page revalidate with
+    /// one mutation_seq probe; only those whose seq moved are refetched.
+    /// Result order matches `keys`. A pinned `pin` skips the cache and
+    /// resolves the whole batch at that snapshot.
     Result<std::vector<std::optional<hep::BufferView>>> load_products_bulk(
         std::size_t db_index, const std::vector<std::string>& keys,
         const yokan::proto::ReadPin* pin = nullptr);
@@ -239,8 +241,15 @@ class DataStoreImpl {
     /// Best-effort re-broadcast of every registry marker to every database —
     /// heals publishes interrupted between commit point and broadcast.
     void repair_markers();
+    /// get_multi_views with a receive buffer sized from the running estimate
+    /// below; updates the estimate from the reply.
+    Result<std::vector<std::optional<hep::BufferView>>> get_multi_sized(
+        const yokan::DatabaseHandle& db, const std::vector<std::string>& keys,
+        std::uint64_t* seq_out = nullptr);
 
     std::unique_ptr<margo::Engine> engine_;
+    /// Bytes per requested key of the last bulk product reply (0 = none yet).
+    std::atomic<std::size_t> bulk_bytes_per_key_{0};
     std::atomic<std::uint32_t> active_epoch_{0};
     std::array<std::vector<yokan::DatabaseHandle>, kNumRoles> dbs_;
     std::array<std::vector<bool>, kNumRoles> active_;

@@ -15,6 +15,7 @@ void add_buffer_source(MetricsRegistry& registry) {
         const std::uint64_t flattens = c.flattens.load(std::memory_order_relaxed);
         const std::uint64_t chains = c.chains_sent.load(std::memory_order_relaxed);
         const std::uint64_t segments = c.chain_segments_sent.load(std::memory_order_relaxed);
+        const std::uint64_t undersized = c.undersized_receives.load(std::memory_order_relaxed);
         json::Value out = json::Value::make_object();
         out["allocations"] = json::Value(allocations);
         out["allocated_bytes"] = json::Value(allocated);
@@ -24,6 +25,7 @@ void add_buffer_source(MetricsRegistry& registry) {
         out["flattens"] = json::Value(flattens);
         out["chains_sent"] = json::Value(chains);
         out["chain_segments_sent"] = json::Value(segments);
+        out["undersized_receives"] = json::Value(undersized);
         out["avg_chain_depth"] =
             json::Value(chains == 0 ? 0.0
                                     : static_cast<double>(segments) / static_cast<double>(chains));

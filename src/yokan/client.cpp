@@ -170,8 +170,12 @@ Result<std::uint64_t> DatabaseHandle::put_multi(const std::vector<BatchItem>& it
 Result<std::vector<std::optional<hep::BufferView>>> DatabaseHandle::get_multi_views(
     const std::vector<std::string>& keys, std::size_t buffer_hint,
     std::uint64_t* seq_out) const {
+    // A value overwritten with a larger one between two attempts makes the
+    // reply outgrow even the size the last attempt reported: retries carry
+    // 1/8 headroom over it, and a few are allowed.
+    constexpr int kMaxAttempts = 4;
     hep::Buffer buffer = hep::Buffer::allocate(buffer_hint);
-    for (int attempt = 0; attempt < 2; ++attempt) {
+    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
         rpc::BulkRef bulk = engine_->endpoint().expose(buffer.mutable_data(), buffer.size());
         auto r = with_failover<GetMultiResp>(
             true, [&](const std::string& server, rpc::ProviderId provider,
@@ -187,8 +191,9 @@ Result<std::vector<std::optional<hep::BufferView>>> DatabaseHandle::get_multi_vi
             return Status::Internal("get_multi size vector mismatch");
         }
         if (!resp.written) {
-            // Buffer was too small; retry once with the exact size.
-            buffer = hep::Buffer::allocate(resp.needed);
+            // Buffer was too small; retry with the reported size.
+            hep::buffer_counters().undersized_receives.fetch_add(1, std::memory_order_relaxed);
+            buffer = hep::Buffer::allocate(resp.needed + resp.needed / 8);
             continue;
         }
         if (seq_out) *seq_out = resp.seq;
@@ -206,7 +211,7 @@ Result<std::vector<std::optional<hep::BufferView>>> DatabaseHandle::get_multi_vi
         }
         return out;
     }
-    return Status::Internal("get_multi retry with exact buffer size still failed");
+    return Status::Internal("get_multi reply outgrew every receive buffer");
 }
 
 }  // namespace hep::yokan

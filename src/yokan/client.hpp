@@ -128,15 +128,19 @@ class DatabaseHandle {
     /// Batched erase; returns how many keys existed and were removed.
     Result<std::uint64_t> erase_multi(const std::vector<std::string>& keys) const;
 
-    /// Batched load: one RPC + one bulk write from the server (retried once
-    /// with the exact size if `buffer_hint` was too small). Values land in
-    /// ONE receive buffer and come back as refcounted views into it (missing
-    /// keys = nullopt). The views
-    /// share the buffer's storage, so they stay valid independently.
+    /// Batched load: one RPC + one bulk write from the server into a
+    /// receive buffer of `buffer_hint` bytes (if that was too small, retried
+    /// with the size the server reported plus 1/8, each retry counted as an
+    /// undersized receive; values growing under concurrent overwrites get a
+    /// few retries before the call fails). Values
+    /// land in ONE receive buffer and come back as refcounted views into it
+    /// (missing keys = nullopt). The views share the buffer's storage, so
+    /// they stay valid independently, and keep all of it alive: a hint close
+    /// to the reply's size keeps cached views from pinning unused bytes.
     /// `seq_out`, when non-null, receives the database's mutation seq sampled
     /// before the reads (so read-cache bulk fills get versioning for free).
     Result<std::vector<std::optional<hep::BufferView>>> get_multi_views(
-        const std::vector<std::string>& keys, std::size_t buffer_hint = 1 << 20,
+        const std::vector<std::string>& keys, std::size_t buffer_hint,
         std::uint64_t* seq_out = nullptr) const;
 
   private:

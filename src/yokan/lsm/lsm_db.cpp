@@ -413,7 +413,10 @@ Status LsmDb::flush_oldest_imm() {
     {
         std::lock_guard g(stats_mutex_);
         ++lsm_stats_.flushes;
-        if (handle) ++lsm_stats_.sst_files_written;
+        if (handle) {
+            ++lsm_stats_.sst_files_written;
+            lsm_stats_.flush_bytes_written += handle->meta.bytes;
+        }
     }
     // The memtable is on disk; its log segments are no longer needed.
     for (const auto& seg : victim->wal_segments) {
@@ -585,7 +588,9 @@ Status LsmDb::compact_level(std::size_t level) {
     remove_tables(level, levels[level], src_idx);
     remove_tables(target, levels[target], dst_idx);
 
+    std::uint64_t bytes_written = 0;
     for (auto& meta : outputs) {
+        bytes_written += meta.bytes;
         edit.added.emplace_back(static_cast<std::uint32_t>(target), meta);
         auto reader = open_table(meta);
         if (!reader.ok()) return reader.status();
@@ -606,6 +611,7 @@ Status LsmDb::compact_level(std::size_t level) {
     {
         std::lock_guard g(stats_mutex_);
         lsm_stats_.sst_files_written += outputs.size();
+        lsm_stats_.compaction_bytes_written += bytes_written;
     }
     for (const auto& p : doomed) {
         std::error_code ec;
@@ -1114,6 +1120,7 @@ LsmStats LsmDb::lsm_stats() const {
         std::lock_guard g(stats_mutex_);
         out = lsm_stats_;
     }
+    out.wal_bytes_written = wal_.bytes_written();
     const BlockCacheStats cs = cache_->stats();
     out.cache_hits = cs.decoded_hits + cs.compressed_hits;
     out.cache_misses = cs.misses;
@@ -1147,6 +1154,9 @@ json::Value LsmDb::stats_json() const {
     doc["compactions_inline"] = s.compactions_inline;
     doc["trivial_moves"] = s.trivial_moves;
     doc["sst_files_written"] = s.sst_files_written;
+    doc["wal_bytes_written"] = s.wal_bytes_written;
+    doc["flush_bytes_written"] = s.flush_bytes_written;
+    doc["compaction_bytes_written"] = s.compaction_bytes_written;
     doc["cache_hits"] = s.cache_hits;
     doc["cache_misses"] = s.cache_misses;
     doc["cache_compressed_hits"] = s.cache_compressed_hits;

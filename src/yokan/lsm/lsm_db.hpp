@@ -93,6 +93,11 @@ struct LsmStats {
     std::uint64_t compactions_inline = 0;
     std::uint64_t trivial_moves = 0;  // compactions done as a manifest edit only
     std::uint64_t sst_files_written = 0;
+    // Bytes written per source (a trivial move writes none): the parts of
+    // the store's write amplification.
+    std::uint64_t wal_bytes_written = 0;
+    std::uint64_t flush_bytes_written = 0;       // L0 tables from memtables
+    std::uint64_t compaction_bytes_written = 0;  // tables from merge compactions
     std::uint64_t cache_hits = 0;            // decoded + compressed tier hits
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_compressed_hits = 0; // served by the compressed tier

@@ -48,7 +48,7 @@ Status Wal::append(RecordType type, std::string_view key, std::string_view epoch
     if (std::fwrite(frame_.data(), 1, frame_.size(), file_) != frame_.size()) {
         return Status::IOError("WAL append failed on " + path_);
     }
-    bytes_written_ += frame_.size();
+    bytes_written_.fetch_add(frame_.size(), std::memory_order_relaxed);
     return Status::OK();
 }
 
@@ -69,16 +69,6 @@ Status Wal::append_delete(std::string_view key) {
 Status Wal::sync() {
     if (file_ && std::fflush(file_) != 0) return Status::IOError("WAL flush failed");
     return Status::OK();
-}
-
-Status Wal::reset() {
-    close();
-    // Truncate by reopening in write mode, then switch back to append.
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    if (!f) return Status::IOError("cannot truncate WAL " + path_);
-    std::fclose(f);
-    bytes_written_ = 0;
-    return open(path_);
 }
 
 Result<std::uint64_t> Wal::replay(const std::string& path, const ReplayFn& fn) {

@@ -7,6 +7,7 @@
 // record (standard torn-write handling).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -37,13 +38,14 @@ class Wal {
     /// Flush userspace buffers (fsync is out of scope for the simulator).
     Status sync();
 
-    /// Close, truncate to zero and reopen — called after a memtable flush.
-    Status reset();
-
     /// Close the file handle.
     void close();
 
-    [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_written_; }
+    /// Bytes appended over this object's lifetime, across every segment it
+    /// opened. Safe to read while another thread appends.
+    [[nodiscard]] std::uint64_t bytes_written() const noexcept {
+        return bytes_written_.load(std::memory_order_relaxed);
+    }
 
     /// Replay records from `path` in order. Invokes `fn(type, key, value)`.
     /// Returns the number of complete records applied; stops quietly at the
@@ -61,7 +63,7 @@ class Wal {
     std::FILE* file_ = nullptr;
     std::string path_;
     std::string frame_;  // reused [crc][len][body] scratch; grows to max record
-    std::uint64_t bytes_written_ = 0;
+    std::atomic<std::uint64_t> bytes_written_{0};
 };
 
 }  // namespace hep::yokan::lsm

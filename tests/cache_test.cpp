@@ -5,6 +5,7 @@
 // loopback, and failover-driven invalidation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -167,8 +168,8 @@ TEST(LeaseCacheTest, OptionsFromJsonAndBypass) {
     EXPECT_FALSE(c.bypass());
 }
 
-// The same op script, run once through the single-key calls and once through
-// the batch calls, must leave two caches indistinguishable.
+// An op script run against a cache: fills go through fill_many, lookups
+// through lookup() or lookup_many().
 struct CacheOp {
     enum Kind { kFill, kLookup, kBumpDb, kBumpTarget } kind;
     std::vector<int> keys;
@@ -188,8 +189,9 @@ std::optional<hep::BufferView> script_value(int n) {
 }
 
 /// Runs `ops`; returns what every lookup answered, in order.
-std::vector<std::string> run_script(cache::LeaseCache& c, const std::vector<CacheOp>& ops,
-                                    bool batch) {
+template <typename Cache>
+std::vector<std::string> run_script(Cache& c, const std::vector<CacheOp>& ops,
+                                    bool batch_lookups) {
     std::vector<std::string> log;
     for (const auto& op : ops) {
         std::vector<std::string> keys;
@@ -198,19 +200,12 @@ std::vector<std::string> run_script(cache::LeaseCache& c, const std::vector<Cach
             case CacheOp::kFill: {
                 std::vector<std::optional<hep::BufferView>> values;
                 for (int n : op.keys) values.push_back(script_value(n));
-                const auto t = c.ticket("db", "target");
-                if (batch) {
-                    c.fill_many(std::move(keys), values, 5, t);
-                } else {
-                    for (std::size_t i = 0; i < keys.size(); ++i) {
-                        if (values[i]) c.fill(keys[i], *values[i], 5, t);
-                    }
-                }
+                c.fill_many(std::move(keys), values, 5, c.ticket("db", "target"));
                 break;
             }
             case CacheOp::kLookup: {
                 std::vector<cache::LeaseCache::Lookup> found;
-                if (batch) {
+                if (batch_lookups) {
                     found = c.lookup_many(keys);
                 } else {
                     for (const auto& k : keys) found.push_back(c.lookup(k));
@@ -228,9 +223,11 @@ std::vector<std::string> run_script(cache::LeaseCache& c, const std::vector<Cach
     return log;
 }
 
-/// bytes() after each of `n` fills of fresh, value-less keys: each fill into
-/// a full cache evicts the LRU tail, so the sequence spells the LRU order.
-std::vector<std::size_t> eviction_order(cache::LeaseCache& c, std::size_t n) {
+/// bytes() after each of `n` single-key fills of fresh, value-less keys:
+/// each fill into a full cache evicts the LRU tail, so the sequence spells
+/// the LRU order.
+template <typename Cache>
+std::vector<std::size_t> eviction_order(Cache& c, std::size_t n) {
     std::vector<std::size_t> out;
     const auto t = c.ticket("db", "target");
     for (std::size_t i = 0; i < n; ++i) {
@@ -250,6 +247,7 @@ void expect_same_counters(const cache::LeaseCache::Counters& a,
     EXPECT_EQ(a.stale_drops, b.stale_drops);
     EXPECT_EQ(a.lease_expiries, b.lease_expiries);
     EXPECT_EQ(a.renewals, b.renewals);
+    EXPECT_EQ(a.skipped_fills, b.skipped_fills);
 }
 
 std::vector<int> key_range(int first, int last) {
@@ -258,11 +256,151 @@ std::vector<int> key_range(int first, int last) {
     return out;
 }
 
-TEST(LeaseCacheTest, BatchCallsMatchSingleKeyCalls) {
-    // A page larger than the entry bound, overwrites, duplicate keys in one
-    // batch, stale drops after each kind of epoch bump, byte evictions, and
-    // batches longer than LeaseCache::kLockChunk.
-    std::vector<CacheOp> ops{
+/// The insertion policy of the file comment of cache/lease_cache.hpp,
+/// spelled out over a plain vector (front = MRU, cold entries at the back,
+/// newest first) with one db and one target:
+/// what the LeaseCache's list, index and lock chunks must add up to. Leases
+/// either never lapse or always have (lease_ms 0).
+class ReferenceCache {
+  public:
+    struct Ticket {
+        std::uint64_t db = 0;
+        std::uint64_t target = 0;
+    };
+
+    explicit ReferenceCache(const cache::CacheOptions& opts) : opts_(opts) {}
+
+    Ticket ticket(const std::string&, const std::string&) const { return {db_, target_}; }
+
+    cache::LeaseCache::Lookup lookup(const std::string& key) {
+        auto it = find(key);
+        if (it == entries_.end()) {
+            ++counters_.misses;
+            return {};
+        }
+        if (stale(*it)) {
+            ++counters_.stale_drops;
+            ++counters_.misses;
+            unlink(it);
+            return {};
+        }
+        if (opts_.lease_ms == 0) {
+            ++counters_.lease_expiries;
+            return {cache::LeaseCache::LookupState::kExpired, it->value, 5, 0, 0};
+        }
+        ++counters_.hits;
+        it->cold = false;
+        std::rotate(entries_.begin(), it, it + 1);
+        return {cache::LeaseCache::LookupState::kHit, entries_.front().value, 5, 0, 0};
+    }
+
+    std::vector<cache::LeaseCache::Lookup> lookup_many(const std::vector<std::string>& keys) {
+        std::vector<cache::LeaseCache::Lookup> out;
+        for (const auto& k : keys) out.push_back(lookup(k));
+        return out;
+    }
+
+    void fill(const std::string& key, hep::BufferView value, std::uint64_t, const Ticket& t) {
+        if (auto it = find(key); it != entries_.end()) unlink(it);
+        entries_.insert(entries_.begin(), Entry{key, std::move(value), false, t});
+        bytes_ += size_of(entries_.front());
+        ++counters_.fills;
+        evict();
+    }
+
+    void fill_many(std::vector<std::string>&& keys,
+                   const std::vector<std::optional<hep::BufferView>>& values, std::uint64_t,
+                   const Ticket& t) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (values[i]) fill_cold(keys[i], *values[i], t);
+        }
+    }
+
+    void bump_db(const std::string&) {
+        ++db_;
+        ++counters_.invalidations;
+    }
+    void bump_target(const std::string&) {
+        ++target_;
+        ++counters_.invalidations;
+    }
+
+    [[nodiscard]] std::size_t size() const { return entries_.size(); }
+    [[nodiscard]] std::size_t bytes() const { return bytes_; }
+    [[nodiscard]] cache::LeaseCache::Counters counters() const { return counters_; }
+
+  private:
+    struct Entry {
+        std::string key;
+        hep::BufferView value;
+        bool cold = false;
+        Ticket epochs;
+    };
+    using Iter = std::vector<Entry>::iterator;
+
+    static std::size_t size_of(const Entry& e) { return e.key.size() + e.value.size(); }
+    [[nodiscard]] bool stale(const Entry& e) const {
+        return e.epochs.db != db_ || e.epochs.target != target_;
+    }
+    Iter find(const std::string& key) {
+        return std::find_if(entries_.begin(), entries_.end(),
+                            [&](const Entry& e) { return e.key == key; });
+    }
+    void unlink(Iter it) {
+        bytes_ -= size_of(*it);
+        entries_.erase(it);
+    }
+    void evict() {
+        while (!entries_.empty() &&
+               (bytes_ > opts_.capacity_bytes || entries_.size() > opts_.max_entries)) {
+            ++counters_.evictions;
+            unlink(entries_.end() - 1);
+        }
+    }
+
+    void fill_cold(const std::string& key, const hep::BufferView& value, const Ticket& t) {
+        if (auto it = find(key); it != entries_.end()) {
+            bytes_ -= it->value.size();
+            bytes_ += value.size();
+            it->value = value;
+            it->epochs = t;
+            ++counters_.fills;
+            evict();
+            return;
+        }
+        const std::size_t need = key.size() + value.size();
+        while (!entries_.empty() && (entries_.size() >= opts_.max_entries ||
+                                     bytes_ + need > opts_.capacity_bytes)) {
+            const Entry& tail = entries_.back();
+            if (tail.cold && !stale(tail) && opts_.lease_ms != 0) {
+                ++counters_.skipped_fills;
+                return;
+            }
+            ++counters_.evictions;
+            unlink(entries_.end() - 1);
+        }
+        entries_.insert(std::find_if(entries_.begin(), entries_.end(),
+                                     [](const Entry& e) { return e.cold; }),
+                        Entry{key, value, true, t});
+        bytes_ += need;
+        ++counters_.fills;
+        evict();
+    }
+
+    cache::CacheOptions opts_;
+    std::vector<Entry> entries_;
+    std::size_t bytes_ = 0;
+    std::uint64_t db_ = 0;
+    std::uint64_t target_ = 0;
+    cache::LeaseCache::Counters counters_;
+};
+
+// A page larger than the entry bound, refills of cached keys, duplicate keys
+// in one batch, stale drops after each kind of epoch bump, byte evictions,
+// skipped fills behind a cold tail, hot tails evicted, and batches longer
+// than LeaseCache::kLockChunk.
+const std::vector<CacheOp>& mixed_script() {
+    static const std::vector<CacheOp> ops{
         {CacheOp::kFill, key_range(0, 19)},
         {CacheOp::kLookup, key_range(0, 29)},
         {CacheOp::kFill, {10, 11, 12, 11, 14}},
@@ -276,20 +414,35 @@ TEST(LeaseCacheTest, BatchCallsMatchSingleKeyCalls) {
         {CacheOp::kLookup, {32, 41, 44, 41, 38, 45}},
         {CacheOp::kFill, {1, 3, 59}},
         {CacheOp::kLookup, key_range(0, 59)},
+        {CacheOp::kFill, key_range(60, 69)},
+        {CacheOp::kLookup, key_range(40, 69)},
         // Batches that span several lock chunks.
         {CacheOp::kFill, key_range(100, 399)},
         {CacheOp::kLookup, key_range(0, 599)},
+        {CacheOp::kBumpDb, {}},
+        {CacheOp::kFill, key_range(400, 699)},
+        {CacheOp::kLookup, key_range(400, 699)},
     };
+    return ops;
+}
+
+cache::CacheOptions script_options(std::uint32_t lease_ms) {
+    cache::CacheOptions opts;
+    opts.max_entries = 16;
+    opts.capacity_bytes = 500;
+    opts.lease_ms = lease_ms;
+    return opts;
+}
+
+TEST(LeaseCacheTest, BatchCallsMatchSingleKeyCalls) {
     ASSERT_LT(cache::LeaseCache::kLockChunk, 300u);
     // lease_ms 0 turns every lookup of a live entry into kExpired (no touch).
     for (std::uint32_t lease_ms : {60000u, 0u}) {
-        cache::CacheOptions opts;
-        opts.max_entries = 16;
-        opts.capacity_bytes = 500;
-        opts.lease_ms = lease_ms;
+        const auto opts = script_options(lease_ms);
         cache::LeaseCache single(opts);
         cache::LeaseCache batch(opts);
-        EXPECT_EQ(run_script(single, ops, false), run_script(batch, ops, true));
+        EXPECT_EQ(run_script(single, mixed_script(), false),
+                  run_script(batch, mixed_script(), true));
         EXPECT_EQ(single.size(), batch.size());
         EXPECT_EQ(single.bytes(), batch.bytes());
         expect_same_counters(single.counters(), batch.counters());
@@ -298,6 +451,185 @@ TEST(LeaseCacheTest, BatchCallsMatchSingleKeyCalls) {
         EXPECT_EQ(eviction_order(single, opts.max_entries),
                   eviction_order(batch, opts.max_entries));
     }
+}
+
+TEST(LeaseCacheTest, FillManyMatchesTheReferencePolicy) {
+    for (std::uint32_t lease_ms : {60000u, 0u}) {
+        const auto opts = script_options(lease_ms);
+        cache::LeaseCache real(opts);
+        ReferenceCache model(opts);
+        EXPECT_EQ(run_script(real, mixed_script(), true), run_script(model, mixed_script(), true));
+        EXPECT_EQ(real.size(), model.size());
+        EXPECT_EQ(real.bytes(), model.bytes());
+        expect_same_counters(real.counters(), model.counters());
+        EXPECT_GT(real.counters().evictions, 0u);
+        if (lease_ms != 0) {
+            EXPECT_GT(real.counters().skipped_fills, 0u);
+        }
+        EXPECT_EQ(eviction_order(real, opts.max_entries),
+                  eviction_order(model, opts.max_entries));
+    }
+}
+
+/// One pass of a bulk reader over `keys` in pages: lookup_many, then
+/// fill_many of what missed. Returns the pass's hits.
+std::size_t bulk_pass(cache::LeaseCache& c, const std::vector<std::string>& keys,
+                      std::size_t page) {
+    std::size_t hits = 0;
+    const hep::BufferView value = view_of("value");
+    for (std::size_t start = 0; start < keys.size(); start += page) {
+        const std::vector<std::string> slice(
+            keys.begin() + static_cast<std::ptrdiff_t>(start),
+            keys.begin() + static_cast<std::ptrdiff_t>(std::min(start + page, keys.size())));
+        const auto t = c.ticket("db", "target");
+        std::vector<std::string> missing;
+        const auto found = c.lookup_many(slice);
+        for (std::size_t i = 0; i < slice.size(); ++i) {
+            if (found[i].state == cache::LeaseCache::LookupState::kHit) {
+                ++hits;
+            } else {
+                missing.push_back(slice[i]);
+            }
+        }
+        const std::vector<std::optional<hep::BufferView>> values(missing.size(), value);
+        c.fill_many(std::move(missing), values, 1, t);
+    }
+    return hits;
+}
+
+TEST(LeaseCacheTest, CyclicBulkScanKeepsAResidentSet) {
+    cache::CacheOptions opts;
+    opts.max_entries = 256;
+    opts.lease_ms = 60000;
+    cache::LeaseCache c(opts);
+    std::vector<std::string> keys;
+    for (int n = 0; n < 3 * 256; ++n) keys.push_back("scan-" + std::to_string(n));
+
+    EXPECT_EQ(bulk_pass(c, keys, 64), 0u);
+    EXPECT_EQ(c.size(), opts.max_entries);
+    EXPECT_EQ(c.counters().evictions, 0u);
+    // From pass 2 on, most of the resident third of the keys hits every
+    // pass, where an LRU would evict each entry before its next use.
+    const double floor = 0.9 * static_cast<double>(opts.max_entries) /
+                         static_cast<double>(keys.size());
+    for (int pass = 2; pass <= 5; ++pass) {
+        const std::size_t hits = bulk_pass(c, keys, 64);
+        EXPECT_GE(static_cast<double>(hits) / static_cast<double>(keys.size()), floor)
+            << "pass " << pass;
+    }
+    const auto counters = c.counters();
+    EXPECT_LE(counters.evictions, 4u);  // one hot tail per pass at most
+    EXPECT_EQ(counters.fills + counters.skipped_fills, counters.misses);
+    EXPECT_EQ(c.size(), opts.max_entries);
+}
+
+TEST(LeaseCacheTest, StaleColdEntriesDoNotBlockTheNextBulkPass) {
+    cache::CacheOptions opts;
+    opts.max_entries = 64;
+    opts.lease_ms = 60000;
+    cache::LeaseCache c(opts);
+    std::vector<std::string> old_keys;
+    std::vector<std::string> new_keys;
+    for (int n = 0; n < 64; ++n) {
+        old_keys.push_back("old-" + std::to_string(n));
+        new_keys.push_back("new-" + std::to_string(n));
+    }
+    bulk_pass(c, old_keys, 16);
+    ASSERT_EQ(c.size(), 64u);  // all cold, never hit
+
+    // A mutation kills every entry: the next bulk pass evicts them instead
+    // of being skipped behind them, and refills the cache.
+    c.bump_db("db");
+    bulk_pass(c, new_keys, 16);
+    EXPECT_EQ(c.counters().skipped_fills, 0u);
+    EXPECT_EQ(c.counters().evictions, 64u);
+    EXPECT_EQ(bulk_pass(c, new_keys, 16), new_keys.size());
+}
+
+TEST(LeaseCacheTest, SingleKeyFillsStillInsertAtMru) {
+    cache::CacheOptions opts;
+    opts.max_entries = 4;
+    opts.lease_ms = 60000;
+    cache::LeaseCache c(opts);
+    const auto t = c.ticket("db", "t");
+    for (const char* k : {"a", "b", "c", "d"}) c.fill(k, view_of(k), 1, t);
+    // A bulk fill into the full cache of hot single-key entries evicts the
+    // LRU one ("a") and enters at the LRU end, cold ...
+    c.fill_many({"bulk"}, {view_of("x")}, 1, t);
+    EXPECT_EQ(c.counters().evictions, 1u);
+    EXPECT_EQ(c.lookup("a").state, cache::LeaseCache::LookupState::kMiss);
+    // ... so the next single-key fill evicts it first, then "b", "c": plain
+    // LRU order for single-key fills, newest first in.
+    c.fill("e", view_of("e"), 1, t);
+    EXPECT_EQ(c.lookup("bulk").state, cache::LeaseCache::LookupState::kMiss);
+    c.fill("f", view_of("f"), 1, t);
+    EXPECT_EQ(c.lookup("b").state, cache::LeaseCache::LookupState::kMiss);
+    for (const char* k : {"c", "d", "e", "f"}) {
+        EXPECT_EQ(c.lookup(k).state, cache::LeaseCache::LookupState::kHit) << k;
+    }
+    EXPECT_EQ(c.counters().skipped_fills, 0u);
+}
+
+TEST(LeaseCacheTest, RenewManyRefusedAfterTargetBumpBetweenProbeAndRenew) {
+    cache::CacheOptions opts;
+    opts.lease_ms = 50;
+    cache::LeaseCache c(opts);
+    const std::vector<std::string> keys{"a", "b", "c"};
+    const std::vector<std::optional<hep::BufferView>> values(keys.size(), view_of("v"));
+    c.fill_many(std::vector<std::string>(keys), values, 7, c.ticket("db", "primary-0"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    for (const auto& found : c.lookup_many(keys)) {
+        EXPECT_EQ(found.state, cache::LeaseCache::LookupState::kExpired);
+    }
+
+    // The ticket brackets the page's one seq probe; a failover promotion
+    // demotes the target before the renewal lands: every renewal is refused.
+    const auto stale = c.ticket("db", "primary-0");
+    c.bump_target("primary-0");
+    EXPECT_EQ(c.renew_many(keys, std::vector<std::uint64_t>(keys.size(), 7), 7, stale),
+              std::vector<bool>(keys.size(), false));
+    EXPECT_EQ(c.counters().renewals, 0u);
+
+    // Refilled from the new primary, expired again: a current ticket renews
+    // the entries whose seq matches the probe, and only those.
+    c.fill_many(std::vector<std::string>(keys), values, 7, c.ticket("db", "primary-1"));
+    c.fill("c", view_of("v"), 8, c.ticket("db", "primary-1"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(c.renew_many({"a", "b", "c", "gone"}, {7, 7, 8, 7}, 7, c.ticket("db", "primary-1")),
+              (std::vector<bool>{true, true, false, false}));
+    EXPECT_EQ(c.counters().renewals, 2u);
+    EXPECT_EQ(c.lookup("a").state, cache::LeaseCache::LookupState::kHit);
+}
+
+TEST(LeaseCacheTest, RenewManyRefusedForAnEntryRefetchedSinceTheLookup) {
+    cache::CacheOptions opts;
+    opts.lease_ms = 50;
+    cache::LeaseCache c(opts);
+    const std::vector<std::string> keys{"a", "b"};
+    c.fill_many(std::vector<std::string>(keys), {view_of("old-a"), view_of("old-b")}, 7,
+                c.ticket("db", "primary"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+
+    // A bulk page looks both keys up: expired, holding the seq-7 values.
+    const auto found = c.lookup_many(keys);
+    std::vector<std::uint64_t> seen;
+    for (const auto& f : found) {
+        ASSERT_EQ(f.state, cache::LeaseCache::LookupState::kExpired);
+        seen.push_back(f.seq);
+    }
+    // An external writer moved the db to seq 9, and another reader of the
+    // same cache refetched "a", updating its entry in place.
+    c.fill_many({"a"}, {view_of("new-a")}, 9, c.ticket("db", "primary"));
+
+    // The page's probe answers 9. The entry for "a" is at seq 9 now, but
+    // the page holds "old-a": renewing it would serve a value the probe
+    // showed had moved. Both are refused and refetched.
+    const auto ticket = c.ticket("db", "primary");
+    EXPECT_EQ(c.renew_many(keys, seen, 9, ticket), (std::vector<bool>{false, false}));
+    EXPECT_EQ(c.counters().renewals, 0u);
+    const auto a = c.lookup("a");
+    ASSERT_EQ(a.state, cache::LeaseCache::LookupState::kHit);
+    EXPECT_EQ(a.value.sv(), "new-a");
 }
 
 TEST(LeaseCacheTest, EpochBumpBetweenTicketAndFillManyLeavesTheBatchStale) {
@@ -378,7 +710,10 @@ TEST(LeaseCacheTest, ConcurrentBatchCallsKeepBoundsAndCountFills) {
 
     EXPECT_LE(c.size(), opts.max_entries);
     EXPECT_LE(c.bytes(), opts.capacity_bytes);
-    EXPECT_EQ(c.counters().fills, inserted.load());
+    // Every value is either filled (new or in place) or skipped behind a
+    // cold tail.
+    const auto counters = c.counters();
+    EXPECT_EQ(counters.fills + counters.skipped_fills, inserted.load());
 }
 
 // ------------------------------------------------------------- service level
@@ -583,6 +918,53 @@ TEST_F(CacheServiceTest, ParallelEventProcessorSecondPassIssuesNoProductGets) {
     EXPECT_EQ(store_.impl()->product_cache()->counters().hits - hits_before, 48u);
 }
 
+TEST(CacheScanServiceTest, RepeatedPepPassesOverThreeTimesTheCacheKeepAResidentSet) {
+    test_util::TestServiceOptions opts;
+    opts.num_servers = 2;
+    opts.cache = *json::parse(R"({"lease_ms": 60000, "max_entries": 64})");
+    test_util::TestService service(opts);
+    auto store = DataStore::connect(service.network, service.connection);
+    DataSet ds = store.createDataSet("ct/scan");
+    constexpr std::uint64_t kSubRuns = 4;
+    constexpr std::uint64_t kEvents = 48;  // 192 products: 3x the cache
+    for (std::uint64_t s = 0; s < kSubRuns; ++s) {
+        auto sr = ds.createRun(1).createSubRun(s);
+        for (std::uint64_t e = 0; e < kEvents; ++e) sr.createEvent(e).store("n", s * 1000 + e);
+    }
+    // {sum of the products, product gets the pass issued}
+    auto pass = [&] {
+        std::atomic<std::uint64_t> sum{0};
+        std::atomic<std::uint64_t> from_prefetch{0};
+        const std::uint64_t gets_before = total_product_gets(service);
+        mpisim::run_ranks(2, [&](mpisim::Comm& comm) {
+            ParallelEventProcessor pep(store, comm, {16, 4, 0});
+            pep.prefetch<std::uint64_t>("n");
+            pep.process(ds, [&](const Event& ev, const ProductCache& cache) {
+                std::uint64_t n = 0;
+                if (cache.load(ev, "n", n)) from_prefetch.fetch_add(1);
+                sum.fetch_add(n);
+            });
+        });
+        EXPECT_EQ(from_prefetch.load(), kSubRuns * kEvents);
+        return std::pair{sum.load(), total_product_gets(service) - gets_before};
+    };
+    const auto first = pass();
+    const auto second = pass();
+    const auto third = pass();
+    EXPECT_EQ(first.first, kEvents * 1000 * (0 + 1 + 2 + 3) + kSubRuns * kEvents * 47 / 2);
+    EXPECT_EQ(second.first, first.first);
+    EXPECT_EQ(third.first, first.first);
+    // (Pass 1 may re-read one page: the first get_multi learns its size.)
+    EXPECT_GE(first.second, kSubRuns * kEvents);
+    // An LRU would evict every entry before its next use and refetch all
+    // 192; the resident third is served from the cache instead.
+    EXPECT_LE(third.second * 4, first.second * 3)
+        << "pass 3 issued " << third.second << " product gets";
+    const auto counters = store.impl()->product_cache()->counters();
+    EXPECT_GT(counters.skipped_fills, 0u);
+    EXPECT_LT(counters.evictions, 16u);
+}
+
 // ------------------------------------------------- lease expiry (service)
 
 TEST(CacheLeaseServiceTest, ExpiredLeaseRenewsWithoutRefetchingValue) {
@@ -606,6 +988,91 @@ TEST(CacheLeaseServiceTest, ExpiredLeaseRenewsWithoutRefetchingValue) {
     auto counters = store.impl()->product_cache()->counters();
     EXPECT_GE(counters.lease_expiries, 1u);
     EXPECT_GE(counters.renewals, 1u);
+}
+
+TEST(CacheLeaseServiceTest, ExpiredBulkPageRevalidatesWithOneSeqProbe) {
+    test_util::TestServiceOptions opts;
+    opts.dbs_per_role = 1;
+    opts.cache = *json::parse(R"({"lease_ms": 300})");
+    test_util::TestService service(opts);
+    auto store = DataStore::connect(service.network, service.connection);
+    auto sr = store.createDataSet("lease-bulk").createRun(1).createSubRun(1);
+    constexpr std::uint64_t kEvents = 32;
+    for (std::uint64_t e = 0; e < kEvents; ++e) sr.createEvent(e).store("n", e);
+
+    Prefetcher prefetcher(store, 64);  // the whole subrun is one page
+    prefetcher.fetch_product<std::uint64_t>("n");
+    auto sweep = [&] {
+        std::uint64_t sum = 0;
+        prefetcher.for_each_event(sr, [&](const Event& ev, const ProductCache& cache) {
+            std::uint64_t n = 0;
+            EXPECT_TRUE(cache.load(ev, "n", n));
+            sum += n;
+        });
+        return sum;
+    };
+    const std::uint64_t expected = kEvents * (kEvents - 1) / 2;
+    ASSERT_EQ(sweep(), expected);
+    std::this_thread::sleep_for(std::chrono::milliseconds(350));
+
+    auto cache = store.impl()->product_cache();
+    const auto before = cache->counters();
+    const std::uint64_t gets_before = total_product_gets(service);
+    const auto net_before = service.network.stats();
+    EXPECT_EQ(sweep(), expected);  // every lease lapsed: revalidate
+    const auto net_mid = service.network.stats();
+    EXPECT_EQ(sweep(), expected);  // every lease renewed: all hits
+    const auto net_after = service.network.stats();
+
+    EXPECT_EQ(total_product_gets(service), gets_before);
+    const auto after = cache->counters();
+    EXPECT_EQ(after.lease_expiries - before.lease_expiries, kEvents);
+    EXPECT_EQ(after.renewals - before.renewals, kEvents);
+    EXPECT_EQ(after.hits - before.hits, kEvents);
+    // Both sweeps list the same events; the revalidating one adds exactly
+    // one request and its response (the seq probe) and no bulk transfer.
+    EXPECT_EQ((net_mid.messages - net_before.messages) - (net_after.messages - net_mid.messages),
+              2u);
+    EXPECT_EQ(net_after.bulk_transfers, net_before.bulk_transfers);
+}
+
+TEST(CacheLeaseServiceTest, BulkLoadsSizeReceiveSlabsFromTheLastReply) {
+    test_util::TestServiceOptions opts;
+    opts.dbs_per_role = 1;
+    opts.cache = *json::parse(R"({"lease_ms": 60000})");
+    test_util::TestService service(opts);
+    auto store = DataStore::connect(service.network, service.connection);
+    auto sr = store.createDataSet("slabs").createRun(1).createSubRun(1);
+    std::vector<std::string> first;
+    std::vector<std::string> second;
+    const auto type = product_type_name<std::vector<std::uint64_t>>();
+    for (std::uint64_t e = 0; e < 128; ++e) {
+        Event ev = sr.createEvent(e);
+        ev.store("v", std::vector<std::uint64_t>(16, e));
+        (e < 64 ? first : second).push_back(product_key(ev.container_key(), "v", type));
+    }
+    auto& impl = *store.impl();
+    auto undersized = [] { return hep::buffer_counters().undersized_receives.load(); };
+    const auto undersized_before = undersized();
+
+    // No reply seen yet: the first page learns its size with one retry.
+    auto a = impl.load_products_bulk(0, first);
+    ASSERT_TRUE(a.ok()) << a.status().to_string();
+    EXPECT_EQ(undersized() - undersized_before, 1u);
+
+    // The next page of the same shape fits the estimate, and its slab holds
+    // the fetched bytes plus at most the 1/8 headroom (and rounding).
+    auto b = impl.load_products_bulk(0, second);
+    ASSERT_TRUE(b.ok()) << b.status().to_string();
+    EXPECT_EQ(undersized() - undersized_before, 1u);
+    std::size_t fetched = 0;
+    for (const auto& v : *b) {
+        ASSERT_TRUE(v.has_value());
+        fetched += v->size();
+    }
+    const std::size_t slab = (*b)[0]->owner()->size();
+    EXPECT_GE(slab, fetched);
+    EXPECT_LE(slab, fetched + fetched / 8 + 2 * second.size());
 }
 
 // --------------------------------------------------------- cache-tier level

@@ -883,6 +883,42 @@ void expect_reads(LsmDb& db, const std::map<std::string, std::string>& want,
     EXPECT_EQ(scanned, want) << when;
 }
 
+TEST(LsmTrivialMoveTest, BytesWrittenAreCountedPerSource) {
+    // Inline flushes, L0 merges and trivial moves over sequential keys. The
+    // WAL gets one frame per put; every live table was written by a flush
+    // or a merge, and a move writes nothing.
+    const std::string db_dir = temp_dir("bytes_per_source") + "/db";
+    auto opened = LsmDb::open(trivial_move_options(db_dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    LsmDb& db = **opened;
+    std::uint64_t frames = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string key = move_key(i);
+        const std::string value = move_value(i, 0);
+        ASSERT_TRUE(db.put(key, value, true).ok());
+        frames += 8 + 1 + 4 + key.size() + value.size();  // [crc][len][type][klen][key][value]
+    }
+    ASSERT_TRUE(db.flush().ok());
+
+    const LsmStats stats = db.lsm_stats();
+    EXPECT_EQ(stats.wal_bytes_written, frames);
+    EXPECT_GT(stats.flush_bytes_written, 0u);
+    EXPECT_GT(stats.compaction_bytes_written, 0u);
+    EXPECT_GT(stats.trivial_moves, 0u);
+    std::uint64_t live = 0;
+    for (const auto& entry : fs::directory_iterator(db_dir)) {
+        if (entry.path().extension() == ".sst") live += entry.file_size();
+    }
+    EXPECT_GT(live, 0u);
+    EXPECT_LE(live, stats.flush_bytes_written + stats.compaction_bytes_written);
+    const json::Value doc = db.stats_json();
+    EXPECT_EQ(doc["wal_bytes_written"].as_int(), static_cast<std::int64_t>(frames));
+    EXPECT_EQ(doc["flush_bytes_written"].as_int(),
+              static_cast<std::int64_t>(stats.flush_bytes_written));
+    EXPECT_EQ(doc["compaction_bytes_written"].as_int(),
+              static_cast<std::int64_t>(stats.compaction_bytes_written));
+}
+
 TEST(LsmTrivialMoveTest, SequentialKeysMoveWithoutRewriting) {
     const std::string dir = temp_dir("trivial_move");
     const std::string db_dir = dir + "/db";

@@ -201,7 +201,7 @@ TEST(TcpFabricTest, YokanBatchGetOverTcp) {
             {"k" + std::to_string(i), hep::Buffer::adopt("value-" + std::to_string(i))});
     }
     ASSERT_TRUE(db.put_multi(batch).ok());
-    auto out = db.get_multi_views({"k7", "missing", "k250"});
+    auto out = db.get_multi_views({"k7", "missing", "k250"}, /*buffer_hint=*/4096);
     ASSERT_TRUE(out.ok()) << out.status().to_string();
     EXPECT_EQ((*out)[0]->sv(), "value-7");
     EXPECT_FALSE((*out)[1].has_value());

@@ -139,7 +139,7 @@ TEST_F(YokanServiceTest, GetMultiReturnsValuesAndMissing) {
     ASSERT_TRUE(db_.put("a", "alpha").ok());
     ASSERT_TRUE(db_.put("c", "gamma").ok());
     const auto before = net_.stats();
-    auto out = db_.get_multi_views({"a", "b", "c"});
+    auto out = db_.get_multi_views({"a", "b", "c"}, /*buffer_hint=*/64);
     ASSERT_TRUE(out.ok()) << out.status().to_string();
     // One RPC, one bulk write of the found values into the client region.
     EXPECT_EQ(net_.stats().bulk_transfers - before.bulk_transfers, 1u);
@@ -153,15 +153,66 @@ TEST_F(YokanServiceTest, GetMultiGrowsBufferWhenHintTooSmall) {
     const std::string big(1 << 16, 'B');
     ASSERT_TRUE(db_.put("big0", big).ok());
     ASSERT_TRUE(db_.put("big1", big).ok());
-    auto out = db_.get_multi_views({"big0", "big1"}, /*buffer_hint=*/16);
+    const auto before = net_.stats();
+    const auto undersized = hep::buffer_counters().undersized_receives.load();
+    auto out = db_.get_multi_views({"big0", "missing", "big1"}, /*buffer_hint=*/16);
     ASSERT_TRUE(out.ok()) << out.status().to_string();
-    ASSERT_EQ(out->size(), 2u);
+    ASSERT_EQ(out->size(), 3u);
     EXPECT_EQ((*out)[0]->sv(), big);
-    EXPECT_EQ((*out)[1]->sv(), big);
+    EXPECT_FALSE((*out)[1].has_value());
+    EXPECT_EQ((*out)[2]->sv(), big);
+    // One retry, at the reported size plus 1/8: the undersized attempt
+    // wrote nothing, and the views share one slab holding the two values.
+    EXPECT_EQ(hep::buffer_counters().undersized_receives.load() - undersized, 1u);
+    EXPECT_EQ(net_.stats().bulk_transfers - before.bulk_transfers, 1u);
+    EXPECT_EQ((*out)[0]->owner(), (*out)[2]->owner());
+    EXPECT_EQ((*out)[0]->owner()->size(), 2 * big.size() + 2 * big.size() / 8);
+
+    // A hint that fits is used as is: no retry.
+    auto fits = db_.get_multi_views({"big0"}, big.size());
+    ASSERT_TRUE(fits.ok()) << fits.status().to_string();
+    EXPECT_EQ((*fits)[0]->sv(), big);
+    EXPECT_EQ(hep::buffer_counters().undersized_receives.load() - undersized, 1u);
+}
+
+TEST_F(YokanServiceTest, GetMultiRetriesWhileAValueGrowsBetweenAttempts) {
+    const std::string big(1 << 16, 'B');
+    ASSERT_TRUE(db_.put("big0", big).ok());
+    ASSERT_TRUE(db_.put("big1", big).ok());
+    // A concurrent overwrite lands just before the server reads the keys
+    // for the first retry: "big1" grows by `growth` bytes.
+    std::size_t growth = 0;
+    int get_multis = 0;
+    Database* events = provider_->find_database("events");
+    const rpc::RpcId get_multi = rpc::rpc_id_of("yokan_get_multi");
+    server_->endpoint().set_admission([&](const rpc::Message& msg) {
+        if (msg.rpc == get_multi && ++get_multis == 2) {
+            return events->put("big1", std::string(big.size() + growth, 'G'));
+        }
+        return Status::OK();
+    });
+    auto fetch = [&](std::size_t grow_by) {
+        growth = grow_by;
+        get_multis = 0;
+        EXPECT_TRUE(events->put("big1", big).ok());
+        const auto undersized = hep::buffer_counters().undersized_receives.load();
+        auto out = db_.get_multi_views({"big0", "big1"}, /*buffer_hint=*/16);
+        EXPECT_TRUE(out.ok()) << out.status().to_string();
+        if (out.ok()) {
+            EXPECT_EQ((*out)[0]->sv(), big);
+            EXPECT_EQ((*out)[1]->sv(), std::string(big.size() + grow_by, 'G'));
+        }
+        return hep::buffer_counters().undersized_receives.load() - undersized;
+    };
+    // Growth within the retry's 1/8 headroom: still one retry.
+    EXPECT_EQ(fetch(1024), 1u);
+    // Growth past it: the first retry is too small as well, the next fits.
+    EXPECT_EQ(fetch(3 * big.size()), 2u);
+    server_->endpoint().set_admission(nullptr);
 }
 
 TEST_F(YokanServiceTest, GetMultiEmptyKeyList) {
-    auto out = db_.get_multi_views({});
+    auto out = db_.get_multi_views({}, /*buffer_hint=*/0);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(out->empty());
 }
