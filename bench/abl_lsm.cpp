@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_table.hpp"
+#include "common/compression.hpp"
 #include "common/crc32.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -247,7 +248,7 @@ BgRun run_bg_ingest(const std::string& tag, bool background) {
     return r;
 }
 
-void run_bg_ablation() {
+bool run_bg_ablation() {
     const BgRun fg = run_bg_ingest("foreground", false);
     const BgRun bg = run_bg_ingest("background", true);
 
@@ -280,7 +281,8 @@ void run_bg_ablation() {
     fill(doc["background"], bg);
     doc["p99_ratio"] = ratio;
     doc["readback_identical"] = identical;
-    doc["pass"] = ratio >= 5.0 && identical;
+    const bool pass = ratio >= 5.0 && identical;
+    doc["pass"] = pass;
     std::ofstream("BENCH_lsm_bg.json") << doc.dump(2) << "\n";
 
     std::printf(
@@ -290,7 +292,8 @@ void run_bg_ablation() {
         "  p99 ratio %.1fx (bar >=5x)  readback %s  -> %s (BENCH_lsm_bg.json)\n\n",
         static_cast<unsigned long long>(kBgKeys), fg.p50_us, fg.p99_us, fg.max_us, bg.p50_us,
         bg.p99_us, bg.max_us, static_cast<unsigned long long>(bg.stats.write_stalls), ratio,
-        identical ? "bit-identical" : "MISMATCH", (ratio >= 5.0 && identical) ? "PASS" : "FAIL");
+        identical ? "bit-identical" : "MISMATCH", pass ? "PASS" : "FAIL");
+    return pass;
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +313,9 @@ void run_bg_ablation() {
 //   2. block compression — identical datasets written with
 //      block_compression none vs auto, then uniform random cold gets with
 //      BOTH cache tiers disabled so every get pays one full block fetch
-//      (and decode). Bar: >= 1.3x gets/s OR >= 2x fewer disk bytes per get.
+//      (and decode). Bar: >= 2x fewer disk bytes per get. Gets/s is
+//      reported, not gated: on tmpfs a fetch costs less than the decode it
+//      saves, so compressed cold gets run slower (EXPERIMENTS.md, abl_lsm).
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t kMemKeys = 200000;
@@ -444,7 +449,8 @@ CompRun run_compression_reads(const std::string& compression) {
 //   compressible  — the internals ablation's 512 B run-length-ish values,
 //                   the shape block compression was built for.
 // BM_SstWriterBuild times SstWriter add+finish over 1 MiB of NOvA product
-// entries (~256 B each, stamped, compression on), in us per MiB.
+// entries (~256 B each, stamped, compression on), in us per MiB of entries
+// counted as nova_entries counts them.
 // ---------------------------------------------------------------------------
 
 std::string nova_product_key(std::uint64_t run, std::uint64_t subrun, std::uint64_t event) {
@@ -455,47 +461,64 @@ std::string nova_product_key(std::uint64_t run, std::uint64_t subrun, std::uint6
     return key + "slices#St6vectorIN3hep4nova5SliceESaIS2_EE";
 }
 
+struct NovaEntry {
+    std::string key;
+    Stamp stamp;
+    std::string value;
+};
+
 /// Stamped NOvA product entries in key order, from the deterministic
-/// generator: `bytes` of (key, stamp + value) records.
-std::vector<std::pair<std::string, std::string>> nova_entries(std::size_t bytes) {
+/// generator, until they add up to `bytes`. Each entry counts its key, value
+/// and 20 bytes of lengths and stamp, so the set is the same whatever the
+/// table format stores per entry.
+std::vector<NovaEntry> nova_entries(std::size_t bytes) {
     const nova::Generator gen;
-    std::vector<std::pair<std::string, std::string>> out;
+    std::vector<NovaEntry> out;
     std::size_t total = 0;
     for (std::uint64_t e = 0; total < bytes; ++e) {
         const nova::EventRecord rec = gen.make_event(10000, e / 500, e);
-        std::string value(lsm::kStampBytes, '\0');
-        value[0] = static_cast<char>(e);  // seq; epoch 0
-        value += serial::to_string(rec.slices);
-        total += 8 + nova_product_key(rec.run, rec.subrun, rec.event).size() + value.size();
-        out.emplace_back(nova_product_key(rec.run, rec.subrun, rec.event), std::move(value));
+        NovaEntry entry{nova_product_key(rec.run, rec.subrun, rec.event), Stamp{e % 256, 0},
+                        serial::to_string(rec.slices)};
+        total += 20 + entry.key.size() + entry.value.size();
+        out.push_back(std::move(entry));
     }
     return out;
 }
 
-/// Raw SSTable blocks (klen u32, vlen u32, key, value records), each cut at
-/// the first record that takes it past 4 KiB, as SstWriter cuts them.
-std::vector<std::string> raw_blocks(const std::vector<std::pair<std::string, std::string>>& kv) {
+/// Raw SSTable blocks in the table format (shared-prefix keys with a full
+/// key every lsm::kRestartInterval records, varint lengths and stamps), each
+/// cut at the first record that takes it past 4 KiB, as SstWriter cuts them.
+std::vector<std::string> raw_blocks(const std::vector<NovaEntry>& entries) {
     std::vector<std::string> blocks(1);
-    for (const auto& [k, v] : kv) {
+    std::string_view prev;
+    std::size_t in_block = 0;
+    for (const NovaEntry& e : entries) {
         std::string& b = blocks.back();
-        const auto klen = static_cast<std::uint32_t>(k.size());
-        const auto vlen = static_cast<std::uint32_t>(v.size());
-        b.append(reinterpret_cast<const char*>(&klen), 4);
-        b.append(reinterpret_cast<const char*>(&vlen), 4);
-        b += k;
-        b += v;
-        if (b.size() >= 4096) blocks.emplace_back();
+        const std::size_t shared =
+            in_block++ % lsm::kRestartInterval == 0 ? 0 : lsm::shared_prefix(prev, e.key);
+        compress::put_varint(b, shared);
+        compress::put_varint(b, e.key.size() - shared);
+        compress::put_varint(b, e.value.size() << 1);
+        b.append(e.key, shared);
+        compress::put_varint(b, e.stamp.seq);
+        compress::put_varint(b, e.stamp.epoch);
+        b += e.value;
+        prev = e.key;
+        if (b.size() >= 4096) {
+            blocks.emplace_back();
+            in_block = 0;
+        }
     }
     blocks.pop_back();  // the unfinished tail
     return blocks;
 }
 
 void BM_EncodeBlock(benchmark::State& state, bool nova_shape) {
-    std::vector<std::pair<std::string, std::string>> kv;
+    std::vector<NovaEntry> kv;
     if (nova_shape) {
         kv = nova_entries(256 << 10);
     } else {
-        for (std::uint64_t i = 0; i < 512; ++i) kv.emplace_back(key_of(i), comp_value_of(i));
+        for (std::uint64_t i = 0; i < 512; ++i) kv.push_back({key_of(i), Stamp{i, 0}, comp_value_of(i)});
     }
     std::vector<std::string> blocks = raw_blocks(kv);
     std::size_t i = 0, compressed = 0, stored = 0, raw = 0;
@@ -518,14 +541,14 @@ BENCHMARK_CAPTURE(BM_EncodeBlock, compressible, false);
 void BM_SstWriterBuild(benchmark::State& state) {
     const auto kv = nova_entries(1 << 20);
     std::size_t bytes = 0;
-    for (const auto& [k, v] : kv) bytes += 8 + k.size() + v.size();
+    for (const NovaEntry& e : kv) bytes += 20 + e.key.size() + e.value.size();
     const auto dir = bg_scratch_dir() / "bench_lsm_sst_build";
     fs::create_directories(dir);
     const std::string path = (dir / "t.sst").string();
     for (auto _ : state) {
         lsm::SstWriter w(path, 1, 4096, /*compress_blocks=*/true);
-        for (const auto& [k, v] : kv) {
-            if (!w.add(k, v).ok()) state.SkipWithError("add failed");
+        for (const NovaEntry& e : kv) {
+            if (!w.add(e.key, e.stamp, e.value).ok()) state.SkipWithError("add failed");
         }
         if (!w.finish().ok()) state.SkipWithError("finish failed");
     }
@@ -538,7 +561,7 @@ void BM_SstWriterBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SstWriterBuild)->Unit(benchmark::kMicrosecond);
 
-void run_internals_ablation() {
+bool run_internals_ablation() {
     // Headline workload is acquisition-order ingest — the write pattern the
     // skiplist's splice cache is built for; the shuffled variant is reported
     // alongside as the adversarial bound.
@@ -561,7 +584,7 @@ void run_internals_ablation() {
     const bool reads_intact = raw.misses == 0 && comp.misses == 0;
 
     const bool put_pass = put_ratio >= 1.5;
-    const bool read_pass = get_ratio >= 1.3 || bytes_ratio >= 2.0;
+    const bool read_pass = bytes_ratio >= 2.0;
     const bool pass = put_pass && read_pass && mem_intact && reads_intact;
 
     json::Value doc = json::Value::make_object();
@@ -581,7 +604,6 @@ void run_internals_ablation() {
     doc["raw_gets_per_s"] = raw.gets_per_s;
     doc["compressed_gets_per_s"] = comp.gets_per_s;
     doc["cold_get_throughput_ratio"] = get_ratio;
-    doc["cold_get_bar"] = 1.3;
     doc["raw_bytes_per_get"] = raw.bytes_per_get;
     doc["compressed_bytes_per_get"] = comp.bytes_per_get;
     doc["bytes_per_get_ratio"] = bytes_ratio;
@@ -596,19 +618,21 @@ void run_internals_ablation() {
         "\nLSM internals (memtable rep + block compression):\n"
         "  puts/s (event-ordered): map %.0f  skiplist %.0f  -> %.2fx (bar >=1.5x) %s\n"
         "  puts/s (shuffled):      map %.0f  skiplist %.0f  -> %.2fx (informational)\n"
-        "  cold gets/s: raw %.0f  compressed %.0f  -> %.2fx (bar >=1.3x)\n"
-        "  disk bytes/get: raw %.0f  compressed %.0f  -> %.2fx (bar >=2x)\n"
+        "  cold gets/s: raw %.0f  compressed %.0f  -> %.2fx (informational)\n"
+        "  disk bytes/get: raw %.0f  compressed %.0f  -> %.2fx (bar >=2x) %s\n"
         "  tables: raw %.1f MB  compressed %.1f MB  readback %s  -> %s "
         "(BENCH_lsm_internals.json)\n\n",
         map_run.puts_per_s, skip_run.puts_per_s, put_ratio, put_pass ? "PASS" : "FAIL",
         map_rnd.puts_per_s, skip_rnd.puts_per_s, random_put_ratio,
         raw.gets_per_s, comp.gets_per_s, get_ratio, raw.bytes_per_get, comp.bytes_per_get,
-        bytes_ratio, static_cast<double>(raw.table_bytes) / 1e6,
+        bytes_ratio, read_pass ? "PASS" : "FAIL", static_cast<double>(raw.table_bytes) / 1e6,
         static_cast<double>(comp.table_bytes) / 1e6,
         (mem_intact && reads_intact) ? "intact" : "CORRUPT", pass ? "PASS" : "FAIL");
+    return pass;
 }
 
-void print_reproduction() {
+/// Every bar above; the binary exits 1 when one fails.
+bool print_reproduction() {
     hep::bench::print_header(
         "Ablation F — rockslite internals (flush/compaction/bloom/cache)\n"
         "expect: smaller memtables => more flush+compaction work per put;\n"
@@ -616,8 +640,9 @@ void print_reproduction() {
         "background compaction takes flush+compaction off the put path;\n"
         "skiplist memtable beats std::map on puts; block compression cuts\n"
         "bytes read per cold get");
-    run_bg_ablation();
-    run_internals_ablation();
+    const bool bg_pass = run_bg_ablation();
+    const bool internals_pass = run_internals_ablation();
+    return bg_pass && internals_pass;
 }
 
 }  // namespace

@@ -99,8 +99,13 @@ inline void put_varint(std::string& out, std::uint64_t v) {
 }
 
 /// Bounded LEB128 decode; advances `pos`. False on truncation, a >10-byte
-/// encoding, or bits beyond 64.
+/// encoding, or bits beyond 64. One-byte values (most lengths) take the
+/// first branch.
 inline bool get_varint(std::string_view in, std::size_t& pos, std::uint64_t& out) noexcept {
+    if (pos < in.size() && static_cast<std::uint8_t>(in[pos]) < 0x80) {
+        out = static_cast<std::uint8_t>(in[pos++]);
+        return true;
+    }
     std::uint64_t v = 0;
     for (std::size_t shift = 0; shift < 64; shift += 7) {
         if (pos >= in.size()) return false;  // truncated mid-value

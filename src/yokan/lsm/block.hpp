@@ -1,10 +1,12 @@
 // SSTable block envelope codec and the two-tier block cache.
 //
-// Every v2 data block is stored as an envelope:
+// Every data block is stored as an envelope:
 //
 //   [codec u8][pad u8][raw_len u32 LE][payload...]
 //
-// The payload is the raw block either verbatim (codec = kRaw, pad = 0) or
+// The raw block is a run of shared-prefix table records (format v3, see
+// sstable.hpp); the envelope does not look inside it. The payload is the
+// raw block either verbatim (codec = kRaw, pad = 0) or
 // compressed with one of the common/compression.hpp codecs over the block
 // bytes zero-padded to a multiple of 8 and treated as u64 elements — width 8
 // is the only width where kDelta/kVarint can beat raw on byte streams, and
@@ -13,8 +15,9 @@
 // header; it sizes each codec by counting varint lengths, pads the block in
 // place, and writes only the winner, straight into the table buffer. The
 // per-block crc32 stored in the table index covers the whole envelope, so
-// corruption is caught before any decode runs. A raw envelope decodes to a
-// view of its own payload: no copy.
+// corruption is caught before any decode runs; the record decoder bounds
+// every read by the block on its own. A raw envelope decodes to a view of
+// its own payload: no copy.
 //
 // The BlockCache holds two independently byte-bounded LRU tiers:
 //   kDecoded     raw (decompressed) blocks — cheapest to serve;
@@ -23,8 +26,11 @@
 // (insert into both). Entries are charged at their actual byte size.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,6 +44,22 @@
 namespace hep::yokan::lsm {
 
 inline constexpr std::size_t kBlockEnvelopeHeader = 6;
+
+/// Length of the common prefix of `a` and `b`, compared 8 bytes at a time:
+/// how many key bytes a table or WAL record shares with its predecessor.
+inline std::size_t shared_prefix(std::string_view a, std::string_view b) noexcept {
+    static_assert(std::endian::native == std::endian::little);
+    const std::size_t n = std::min(a.size(), b.size());
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t x, y;
+        std::memcpy(&x, a.data() + i, 8);
+        std::memcpy(&y, b.data() + i, 8);
+        if (x != y) return i + static_cast<std::size_t>(std::countr_zero(x ^ y) / 8);
+    }
+    while (i < n && a[i] == b[i]) ++i;
+    return i;
+}
 
 /// Append the envelope of raw block `block` to `out`, compressed when
 /// `try_compress` and a codec beats the raw bytes. `block` is zero-padded in

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,15 +20,44 @@ class BloomFilter {
 
     /// Clear and resize for `expected_keys` (keeps the word storage).
     void reset(std::size_t expected_keys) {
-        // ~10 bits/key, 7 hashes gives ~0.8% FPR.
-        const std::size_t bits = std::max<std::size_t>(64, expected_keys * 10);
-        bits_.assign((bits + 63) / 64, 0);
+        bits_.assign(words_for(expected_keys), 0);
         set_divisor();
     }
 
     /// The one hash a key is filtered by; both probe sequences derive from
-    /// it, so a caller can hash a key once and feed several filters.
-    static std::uint64_t hash(std::string_view key) noexcept { return fnv1a64(key); }
+    /// it, so a caller can hash a key once and feed several filters. Word at
+    /// a time: each 16 bytes cost one 64x64->128 multiply folded to 64 bits
+    /// (wyhash's structure), against fnv1a64's multiply per byte. Table
+    /// blooms store bits set from it, so it is part of the on-disk format.
+    static std::uint64_t hash(std::string_view key) noexcept {
+        constexpr std::uint64_t k0 = 0xa0761d6478bd642fULL;
+        constexpr std::uint64_t k1 = 0xe7037ed1a0b428dbULL;
+        const char* p = key.data();
+        const std::size_t n = key.size();
+        std::uint64_t seed = k0;
+        std::uint64_t a = 0, b = 0;
+        if (n <= 16) {
+            if (n >= 8) {
+                a = load64(p);
+                b = load64(p + n - 8);
+            } else if (n >= 4) {
+                a = load32(p);
+                b = load32(p + n - 4);
+            } else if (n > 0) {
+                a = (std::uint64_t{static_cast<std::uint8_t>(p[0])} << 16) |
+                    (std::uint64_t{static_cast<std::uint8_t>(p[n / 2])} << 8) |
+                    static_cast<std::uint8_t>(p[n - 1]);
+            }
+        } else {
+            std::size_t left = n;
+            for (; left > 16; left -= 16, p += 16) {
+                seed = fold_mul(load64(p) ^ k1, load64(p + 8) ^ seed);
+            }
+            a = load64(p + left - 16);  // the last 16 bytes, overlapping
+            b = load64(p + left - 8);
+        }
+        return fold_mul(k1 ^ n, fold_mul(a ^ k1, b ^ seed));
+    }
 
     void insert_hash(std::uint64_t h) {
         const std::uint64_t h2 = mix64(h) | 1;  // odd second hash avoids cycling
@@ -46,12 +76,36 @@ class BloomFilter {
     /// Serialize to bytes (u64 word count + words) / restore from bytes.
     void append_to(std::string& out) const;
     [[nodiscard]] std::size_t encoded_size() const noexcept { return 8 + bits_.size() * 8; }
+    /// encoded_size() of a filter sized for `expected_keys`.
+    static std::size_t encoded_size_for(std::size_t expected_keys) noexcept {
+        return 8 + words_for(expected_keys) * 8;
+    }
     static BloomFilter decode(std::string_view bytes);
 
     [[nodiscard]] std::size_t bit_count() const noexcept { return bits_.size() * 64; }
 
   private:
     static constexpr std::uint32_t kHashes = 7;
+
+    /// ~10 bits/key, 7 hashes gives ~0.8% FPR.
+    static std::size_t words_for(std::size_t expected_keys) noexcept {
+        return (std::max<std::size_t>(64, expected_keys * 10) + 63) / 64;
+    }
+
+    static std::uint64_t fold_mul(std::uint64_t a, std::uint64_t b) noexcept {
+        const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+        return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+    }
+    static std::uint64_t load64(const char* p) noexcept {
+        std::uint64_t v;
+        std::memcpy(&v, p, 8);
+        return v;
+    }
+    static std::uint64_t load32(const char* p) noexcept {
+        std::uint32_t v;
+        std::memcpy(&v, p, 4);
+        return v;
+    }
 
     /// x % bit_count() without a divide: Lemire, Kaser & Kurz, "Faster
     /// Remainder by Direct Computation" (fastmod_u64), exact for every

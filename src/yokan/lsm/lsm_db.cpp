@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -14,20 +14,7 @@ namespace fs = std::filesystem;
 namespace hep::yokan::lsm {
 
 namespace {
-constexpr const char* kLegacyWalName = "wal.log";
 constexpr std::size_t kNoLevel = std::numeric_limits<std::size_t>::max();
-
-/// Strips the stamp prefix off `value` in place and returns it; pre-format-2
-/// tables (has_meta false) read as stamp (0, 0).
-Stamp unwrap_stamp(std::string_view& value, bool has_meta) {
-    Stamp stamp;
-    if (has_meta && value.size() >= kStampBytes) {
-        std::memcpy(&stamp.seq, value.data(), 8);
-        std::memcpy(&stamp.epoch, value.data() + 8, 4);
-        value.remove_prefix(kStampBytes);
-    }
-    return stamp;
-}
 }  // namespace
 
 std::uint64_t LsmDb::Version::level_bytes(std::size_t li) const {
@@ -170,50 +157,27 @@ Status LsmDb::open_wal_segment() {
 }
 
 Status LsmDb::recover_wal() {
-    // Replay the legacy single log (pre-segmentation layout) first, then
-    // every wal.NNNNNN.log segment in sequence order: last writer wins, and
-    // segments are strictly newer than any legacy log. Segments below the
-    // manifest's wal_floor are already in an SSTable — they are skipped (and
-    // unlinked), so no record is ever double-replayed and the re-derived
-    // stamps match the pre-crash ones exactly.
+    // Replay every wal.NNNNNN.log segment in sequence order: last writer
+    // wins. Segments below the manifest's wal_floor are already in an
+    // SSTable — they are skipped (and unlinked), so no record is ever
+    // double-replayed and the re-derived stamps match the pre-crash ones
+    // exactly.
     auto mem = active_;  // recovery runs inside open(), before any reader
-    auto apply = [&](Wal::RecordType type, std::string_view key, std::string_view value) {
-        const std::uint64_t seq = seq_source().next();
-        if (type == Wal::RecordType::kDelete) {
-            mem->rep->insert(key, {}, Stamp{seq, 0}, /*tombstone=*/true);
-            mem->bytes.fetch_add(key.size() + 32, std::memory_order_relaxed);
-            return;
-        }
-        std::uint32_t epoch = 0;
-        if (type == Wal::RecordType::kPutEpoch) {
-            std::memcpy(&epoch, value.data(), 4);
-            value.remove_prefix(4);
-        }
-        mem->rep->insert(key, value, Stamp{seq, epoch}, /*tombstone=*/false);
+    auto apply = [&](Wal::RecordType type, std::string_view key, std::string_view value,
+                     std::uint32_t epoch) {
+        const bool tombstone = type == Wal::RecordType::kDelete;
+        mem->rep->insert(key, value, Stamp{seq_source().next(), epoch}, tombstone);
         mem->bytes.fetch_add(key.size() + value.size() + 32, std::memory_order_relaxed);
     };
 
     const std::uint64_t floor = versions_->state().wal_floor;
     std::uint64_t total = 0;
-    const std::string legacy = options_.path + "/" + kLegacyWalName;
-    if (fs::exists(legacy)) {
-        if (floor == 0) {  // the legacy log is segment 0
-            auto replayed = Wal::replay(legacy, apply);
-            if (!replayed.ok()) return replayed.status();
-            total += *replayed;
-            mem->wal_segments.push_back(legacy);
-        } else {
-            std::error_code ec;
-            fs::remove(legacy, ec);
-        }
-    }
-
     std::vector<std::pair<std::uint64_t, std::string>> segments;
     std::error_code ec;
     for (const auto& e : fs::directory_iterator(options_.path, ec)) {
         const std::string name = e.path().filename().string();
         if (name.size() <= 8 || name.rfind("wal.", 0) != 0 ||
-            name.compare(name.size() - 4, 4, ".log") != 0 || name == kLegacyWalName) {
+            name.compare(name.size() - 4, 4, ".log") != 0) {
             continue;
         }
         const std::string digits = name.substr(4, name.size() - 8);
@@ -377,13 +341,11 @@ Status LsmDb::flush_oldest_imm() {
         for (cur->seek_first(); cur->valid(); cur->next()) {
             const MemEntry e = cur->entry();
             max_seq = std::max(max_seq, e.stamp.seq);
-            Status st = e.tombstone ? writer.add(cur->key(), {}, true)
-                                    : writer.add(cur->key(), e.stamp, e.value);
+            Status st = writer.add(cur->key(), e.stamp, e.value, e.tombstone);
             if (!st.ok()) return st;
         }
         auto meta = writer.finish();
         if (!meta.ok()) return meta.status();
-        meta->has_meta = true;
         auto reader = open_table(*meta);
         if (!reader.ok()) return reader.status();
         handle.emplace(TableHandle{std::move(meta.value()), std::move(reader.value())});
@@ -434,7 +396,6 @@ namespace {
 struct MergeSource {
     SstReader::Iterator it;
     std::size_t prio;
-    bool has_meta;  // source values carry the stamp prefix
 };
 
 bool ranges_overlap(const TableMeta& a, std::string_view min_key, std::string_view max_key) {
@@ -487,8 +448,7 @@ Status LsmDb::compact_level(std::size_t level) {
     // most recent version; target-level tables are oldest.
     std::vector<MergeSource> sources;
     auto add_source = [&](const TableHandle& t) {
-        sources.push_back(
-            {t.reader->make_compaction_iterator(), sources.size(), t.meta.has_meta});
+        sources.push_back({t.reader->make_compaction_iterator(), sources.size()});
     };
     if (level == 0) {
         for (auto rit = src_idx.rbegin(); rit != src_idx.rend(); ++rit) add_source(levels[0][*rit]);
@@ -501,16 +461,15 @@ Status LsmDb::compact_level(std::size_t level) {
         if (!st.ok()) return st;
     }
 
-    // Merge into new target-level tables. Each output's blooms are sized in
+    // Merge into new target-level tables, each closed once its encoded size
+    // reaches target_file_bytes. Each output's blooms are sized in
     // SstWriter::finish from the entries it really holds.
     std::vector<TableMeta> outputs;
     std::optional<SstWriter> writer;
-    std::size_t out_bytes_estimate = 0;
     auto close_writer = [&]() -> Status {
         if (!writer) return Status::OK();
         auto meta = writer->finish();
         if (!meta.ok()) return meta.status();
-        meta->has_meta = true;  // outputs are always stamp-prefixed
         // Drop empty output tables.
         if (meta->entries > 0) outputs.push_back(std::move(meta.value()));
         else fs::remove(table_path(meta->file_number));
@@ -529,27 +488,19 @@ Status LsmDb::compact_level(std::size_t level) {
             }
         }
         if (!best) break;
-        // The winner's key and value view its pinned block: hand them to the
-        // writer before any source moves.
+        // The winner's key and value view its iterator and pinned block: hand
+        // them to the writer before the winner moves.
         const std::string_view key = best->it.key();
-        const std::string_view value = best->it.value();
         const bool tombstone = best->it.is_tombstone();
         if (!(tombstone && deeper_empty)) {  // else fully reclaim
             if (!writer) {
                 const std::uint64_t fn = next_file_number_.fetch_add(1);
                 writer.emplace(table_path(fn), fn, options_.block_bytes, compress_blocks(),
                                options_.target_file_bytes);
-                out_bytes_estimate = 0;
             }
-            // Legacy (pre-stamp) sources get a zero stamp so every output
-            // value uses the format-2 layout.
-            Status st = tombstone          ? writer->add(key, {}, true)
-                        : best->has_meta ? writer->add(key, value)
-                                         : writer->add(key, Stamp{}, value);
+            Status st = writer->add(key, best->it.stamp(), best->it.value(), tombstone);
             if (!st.ok()) return st;
-            out_bytes_estimate +=
-                key.size() + value.size() + (tombstone || best->has_meta ? 0 : kStampBytes) + 8;
-            if (out_bytes_estimate >= options_.target_file_bytes) {
+            if (writer->encoded_bytes() >= options_.target_file_bytes) {
                 st = close_writer();
                 if (!st.ok()) return st;
             }
@@ -738,10 +689,7 @@ Status LsmDb::write_impl(std::string_view key, std::optional<hep::BufferView> va
             if (is_erase && !present) return Status::NotFound(std::string(key));
             if (!is_erase && present) return Status::AlreadyExists(std::string(key));
         }
-        Status st = is_erase ? wal_.append_delete(key)
-                    : epoch == 0
-                        ? wal_.append_put(key, value->sv())
-                        : wal_.append_put_epoch(key, value->sv(), epoch);
+        Status st = is_erase ? wal_.append_delete(key) : wal_.append_put(key, value->sv(), epoch);
         if (!st.ok()) return st;
         my_seq = append_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
         // MVCC seq drawn under write_mutex_: memtable stamp order equals WAL
@@ -889,26 +837,20 @@ Status LsmDb::flush() {
 
 // ------------------------------------------------------------------- reads
 
-Result<LsmDb::TableHit> LsmDb::table_lookup(const Version& v, std::string_view key) const {
-    auto make_hit = [](std::optional<std::string> raw, bool has_meta) {
-        TableHit hit;
-        if (raw.has_value()) {
-            if (has_meta && raw->size() >= kStampBytes) {
-                std::memcpy(&hit.stamp.seq, raw->data(), 8);
-                std::memcpy(&hit.stamp.epoch, raw->data() + 8, 4);
-                raw->erase(0, kStampBytes);
-            }
-            hit.value = std::move(raw);
-        }
-        return hit;
+Result<TableHit> LsmDb::table_lookup(const Version& v, std::string_view key) const {
+    // Hashed once, by the first table whose key range holds `key`.
+    std::optional<std::uint64_t> hash;
+    auto probe = [&](SstReader& reader) {
+        if (!hash) hash = BloomFilter::hash(key);
+        return reader.get(key, *hash);
     };
     // L0: newest to oldest (later files shadow earlier ones).
     const auto& l0 = v.levels[0];
     for (std::size_t i = l0.size(); i-- > 0;) {
         const TableMeta& t = l0[i].meta;
         if (key < std::string_view(t.min_key) || std::string_view(t.max_key) < key) continue;
-        auto r = l0[i].reader->get(key);
-        if (r.ok()) return make_hit(std::move(r.value()), t.has_meta);  // value or tombstone
+        auto r = probe(*l0[i].reader);
+        if (r.ok()) return r;  // value or tombstone
         if (r.status().code() != StatusCode::kNotFound) return r.status();
     }
     // Deeper levels: at most one candidate file per level.
@@ -923,8 +865,8 @@ Result<LsmDb::TableHit> LsmDb::table_lookup(const Version& v, std::string_view k
         }
         if (lo == lvl.size()) continue;
         if (key < std::string_view(lvl[lo].meta.min_key)) continue;
-        auto r = lvl[lo].reader->get(key);
-        if (r.ok()) return make_hit(std::move(r.value()), lvl[lo].meta.has_meta);
+        auto r = probe(*lvl[lo].reader);
+        if (r.ok()) return r;
         if (r.status().code() != StatusCode::kNotFound) return r.status();
     }
     return Status::NotFound(std::string(key));
@@ -1004,23 +946,16 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
     }
 
     // Table iterators, ordered newest-first so the lowest source index always
-    // holds the most recent version of a key. Each remembers whether its table
-    // carries MVCC stamp prefixes so values can be unwrapped on the fly.
-    struct TableCursor {
-        SstReader::Iterator it;
-        bool has_meta;
-    };
-    std::vector<TableCursor> its;
+    // holds the most recent version of a key.
+    std::vector<SstReader::Iterator> its;
     for (std::size_t i = ver->levels[0].size(); i-- > 0;) {
-        its.push_back({ver->levels[0][i].reader->make_iterator(), ver->levels[0][i].meta.has_meta});
+        its.push_back(ver->levels[0][i].reader->make_iterator());
     }
     for (std::size_t li = 1; li < ver->levels.size(); ++li) {
-        for (const auto& t : ver->levels[li]) {
-            its.push_back({t.reader->make_iterator(), t.meta.has_meta});
-        }
+        for (const auto& t : ver->levels[li]) its.push_back(t.reader->make_iterator());
     }
-    for (auto& c : its) {
-        Status st = start_at_prefix ? c.it.seek_geq(prefix) : c.it.seek_after(after);
+    for (auto& it : its) {
+        Status st = start_at_prefix ? it.seek_geq(prefix) : it.seek_after(after);
         if (!st.ok()) return st;
     }
 
@@ -1043,9 +978,9 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
                 have_best = true;
             }
         }
-        for (const auto& c : its) {
-            if (c.it.valid() && (!have_best || c.it.key() < best)) {
-                best = c.it.key();
+        for (const auto& it : its) {
+            if (it.valid() && (!have_best || it.key() < best)) {
+                best = it.key();
                 have_best = true;
             }
         }
@@ -1077,17 +1012,15 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
                 c->next();
             }
         }
-        for (auto& c : its) {
-            if (c.it.valid() && c.it.key() == key) {
+        for (auto& it : its) {
+            if (it.valid() && it.key() == key) {
                 if (!handled) {
-                    if (!c.it.is_tombstone() && prefix_matches(key)) {
-                        std::string_view tv = c.it.value();
-                        const Stamp ts = unwrap_stamp(tv, c.has_meta);
-                        keep_going = fn(key, tv, ts);
+                    if (!it.is_tombstone() && prefix_matches(key)) {
+                        keep_going = fn(key, it.value(), it.stamp());
                     }
                     handled = true;
                 }
-                Status st = c.it.next();
+                Status st = it.next();
                 if (!st.ok()) return st;
             }
         }

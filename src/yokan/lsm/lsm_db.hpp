@@ -215,12 +215,8 @@ class LsmDb final : public Database {
         if (options_.crash_hook) options_.crash_hook(label);
     }
 
-    /// Stored bytes of `key`'s newest table version, already unwrapped:
-    /// nullopt value = tombstone. Stamp is (0,0) for pre-format-2 tables.
-    struct TableHit {
-        std::optional<std::string> value;
-        Stamp stamp;
-    };
+    /// `key`'s newest table version: nullopt value = tombstone. Hashes the
+    /// key at most once for every table's blooms.
     Result<TableHit> table_lookup(const Version& v, std::string_view key) const;
     Result<std::shared_ptr<SstReader>> open_table(const TableMeta& meta) const;
     [[nodiscard]] std::string table_path(std::uint64_t file_number) const;

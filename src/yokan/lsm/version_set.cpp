@@ -9,7 +9,6 @@
 
 #include "common/compression.hpp"
 #include "common/crc32.hpp"
-#include "common/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -18,7 +17,6 @@ namespace hep::yokan::lsm {
 namespace {
 
 constexpr const char* kCurrentName = "CURRENT";
-constexpr const char* kLegacyJsonName = "MANIFEST.json";
 
 // VersionEdit payload tags.
 constexpr std::uint64_t kTagNextFile = 1;
@@ -27,10 +25,8 @@ constexpr std::uint64_t kTagWalFloor = 3;
 constexpr std::uint64_t kTagAddTable = 4;
 constexpr std::uint64_t kTagDeleteTable = 5;
 
-// Bits of an added table's flags varint. Manifests written before
-// kTableTombstoneFree hold 0 or 1 there, which read as "may hold tombstones".
-constexpr std::uint64_t kTableHasMeta = 1;
-constexpr std::uint64_t kTableTombstoneFree = 2;
+// Bits of an added table's flags varint.
+constexpr std::uint64_t kTableTombstoneFree = 1;
 
 void put_string(std::string& out, std::string_view s) {
     compress::put_varint(out, s.size());
@@ -85,8 +81,7 @@ std::string VersionEdit::encode() const {
         compress::put_varint(out, meta.file_number);
         compress::put_varint(out, meta.entries);
         compress::put_varint(out, meta.bytes);
-        compress::put_varint(out, (meta.has_meta ? kTableHasMeta : 0) |
-                                      (meta.tombstone_free ? kTableTombstoneFree : 0));
+        compress::put_varint(out, meta.tombstone_free ? kTableTombstoneFree : 0);
         put_string(out, meta.min_key);
         put_string(out, meta.max_key);
     }
@@ -131,7 +126,6 @@ Result<VersionEdit> VersionEdit::decode(std::string_view payload) {
                     !get_string(payload, pos, meta.max_key)) {
                     break;
                 }
-                meta.has_meta = (flags & kTableHasMeta) != 0;
                 meta.tombstone_free = (flags & kTableTombstoneFree) != 0;
                 edit.added.emplace_back(static_cast<std::uint32_t>(level), std::move(meta));
                 continue;
@@ -186,11 +180,6 @@ VersionSet::~VersionSet() {
 
 std::string VersionSet::log_path(char which) const {
     return dir_ + "/MANIFEST-" + which + ".log";
-}
-
-bool VersionSet::is_manifest_file(std::string_view name) noexcept {
-    return name == kCurrentName || name == "CURRENT.tmp" || name == kLegacyJsonName ||
-           name == "MANIFEST-A.log" || name == "MANIFEST-B.log" || name == "MANIFEST.tmp";
 }
 
 Status VersionSet::append_record(std::string_view payload) {
@@ -266,36 +255,6 @@ Status VersionSet::load_log(const std::string& path) {
     return Status::OK();
 }
 
-Status VersionSet::load_legacy_json(const std::string& path, bool& found) {
-    found = false;
-    if (!fs::exists(path)) return Status::OK();
-    auto doc = json::parse_file(path);
-    if (!doc.ok()) return Status::Corruption("manifest unreadable: " + doc.status().message());
-    const json::Value& v = *doc;
-    state_ = ManifestState{};
-    state_.levels.resize(max_levels_);
-    state_.next_file_number = static_cast<std::uint64_t>(v["next_file"].as_int(1));
-    state_.last_seq = static_cast<std::uint64_t>(v["last_seq"].as_int(0));
-    const json::Value& levels = v["levels"];
-    for (std::size_t li = 0; li < levels.size(); ++li) {
-        if (li >= state_.levels.size()) state_.levels.resize(li + 1);
-        const json::Value& level = levels.at(li);
-        for (std::size_t ti = 0; ti < level.size(); ++ti) {
-            const json::Value& t = level.at(ti);
-            TableMeta meta;
-            meta.file_number = static_cast<std::uint64_t>(t["file"].as_int());
-            meta.min_key = t["min"].as_string();
-            meta.max_key = t["max"].as_string();
-            meta.entries = static_cast<std::uint64_t>(t["entries"].as_int());
-            meta.bytes = static_cast<std::uint64_t>(t["bytes"].as_int());
-            meta.has_meta = t["meta"].as_bool(false);
-            state_.levels[li].push_back(std::move(meta));
-        }
-    }
-    found = true;
-    return Status::OK();
-}
-
 Status VersionSet::recover() {
     const std::string current_path = dir_ + "/" + kCurrentName;
     if (fs::exists(current_path)) {
@@ -322,29 +281,12 @@ Status VersionSet::recover() {
             live = other;
         }
         live_ = live;
-        st = open_live_log(/*truncate=*/false);
-        if (!st.ok()) return st;
-        // Finish an interrupted legacy upgrade: CURRENT is durable, the JSON
-        // file is stale at best.
-        std::error_code ec;
-        fs::remove(dir_ + "/" + kLegacyJsonName, ec);
-        return Status::OK();
+        return open_live_log(/*truncate=*/false);
     }
 
-    bool legacy_found = false;
-    Status st = load_legacy_json(dir_ + "/" + kLegacyJsonName, legacy_found);
-    if (!st.ok()) return st;
-    // Fresh database or legacy upgrade: either way, persist the state in the
-    // new format so CURRENT exists from here on.
+    // Fresh database: persist the empty state so CURRENT exists from here on.
     live_ = 'B';  // write_snapshot_and_flip targets the other file: 'A'
-    st = write_snapshot_and_flip('A');
-    if (!st.ok()) return st;
-    if (legacy_found) {
-        std::error_code ec;
-        fs::remove(dir_ + "/" + kLegacyJsonName, ec);
-        // Removal is best-effort: CURRENT now exists and takes precedence.
-    }
-    return Status::OK();
+    return write_snapshot_and_flip('A');
 }
 
 Status VersionSet::write_snapshot_and_flip(char target) {

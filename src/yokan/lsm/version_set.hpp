@@ -20,9 +20,8 @@
 //     the first torn or corrupt record, which by construction only ever
 //     truncates un-acknowledged tail edits.
 //
-// Legacy upgrade: when no CURRENT exists but a format-1/2 MANIFEST.json
-// does, recover() parses it, immediately persists the state in the new
-// format, and removes the JSON file only after CURRENT is durable.
+// A directory with no CURRENT is a fresh database: recover() persists the
+// empty state, so CURRENT exists from then on.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +75,8 @@ class VersionSet {
     VersionSet(const VersionSet&) = delete;
     VersionSet& operator=(const VersionSet&) = delete;
 
-    /// Load the manifest: new format via CURRENT if present, else legacy
-    /// MANIFEST.json (upgrading it on the spot), else a fresh empty state.
+    /// Load the manifest via CURRENT if present, else start (and persist) a
+    /// fresh empty state.
     Status recover();
 
     /// Durably append one edit (fsync'd before returning) and fold it into
@@ -90,13 +89,8 @@ class VersionSet {
     /// Manifest log size knob, mostly for tests (default 1 MB).
     void set_rotate_threshold(std::size_t bytes) noexcept { rotate_threshold_bytes_ = bytes; }
 
-    /// Names that belong to the manifest machinery (recovery-time GC must not
-    /// treat them as orphans).
-    static bool is_manifest_file(std::string_view name) noexcept;
-
   private:
     Status load_log(const std::string& path);
-    Status load_legacy_json(const std::string& path, bool& found);
     Status write_snapshot_and_flip(char target);
     Status append_record(std::string_view payload);
     Status open_live_log(bool truncate);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/compression.hpp"
 #include "common/crc32.hpp"
 #include "yokan/lsm/arena.hpp"
 #include "yokan/lsm/block.hpp"
@@ -295,7 +296,7 @@ TEST(SstCompressionTest, CompressedTableReadsFewerBytesPerColdGet) {
             char key[16];
             std::snprintf(key, sizeof key, "k%06zu", i);
             // Highly compressible payload, as HEP product blobs often are.
-            EXPECT_TRUE(w.add(key, std::string(128, 'p')).ok());
+            EXPECT_TRUE(w.add(key, Stamp{i + 1, 0}, std::string(128, 'p')).ok());
         }
         auto meta = w.finish();
         EXPECT_TRUE(meta.ok());
@@ -315,7 +316,7 @@ TEST(SstCompressionTest, CompressedTableReadsFewerBytesPerColdGet) {
             std::snprintf(key, sizeof key, "k%06zu", i);
             auto r = (*reader)->get(key);
             EXPECT_TRUE(r.ok()) << r.status().to_string();
-            EXPECT_EQ(r->value_or(""), std::string(128, 'p'));
+            EXPECT_EQ(r->value.value_or(""), std::string(128, 'p'));
         }
         return cache->stats();
     };
@@ -340,7 +341,7 @@ TEST(SstCompactionReadTest, BypassesTheCacheAndChecksEveryBlock) {
         std::string value = (i / 20) % 2 ? std::string(40, 'c') : std::to_string(i * 7919u) +
                                                                      std::to_string(i * 104729u);
         rows.emplace_back(key, value);
-        ASSERT_TRUE(w.add(key, value).ok());
+        ASSERT_TRUE(w.add(key, Stamp{static_cast<std::uint64_t>(i) + 1, 0}, value).ok());
     }
     ASSERT_TRUE(w.finish().ok());
 
@@ -385,7 +386,7 @@ TEST(SstCompressionTest, PerBlockBloomSkipsDecodeOnMiss) {
     for (int i = 0; i < 200; i += 2) {  // only even keys
         char key[16];
         std::snprintf(key, sizeof key, "k%06d", i);
-        ASSERT_TRUE(w.add(key, "v").ok());
+        ASSERT_TRUE(w.add(key, Stamp{}, "v").ok());
     }
     ASSERT_TRUE(w.finish().ok());
     auto cache = std::make_shared<BlockCache>(1 << 20, 1 << 20);
@@ -416,8 +417,8 @@ void append_be64(std::string& out, std::uint64_t v) {
 }
 
 /// A seeded table of NOvA-shaped product entries (paper §II-C keys: dataset
-/// UUID, run/subrun/event as BE64, then `label#type`), written through both
-/// add() forms with compression on. Runs of 40 events carry sparse
+/// UUID, run/subrun/event as BE64, then `label#type`), stamped, with
+/// compression on. Runs of 40 events carry sparse
 /// (compressible) payloads and the rest random bytes, so the table mixes
 /// compressed and raw blocks; every 97th key is a tombstone.
 TableMeta write_golden_nova_table(const std::string& path) {
@@ -440,9 +441,8 @@ TableMeta write_golden_nova_table(const std::string& path) {
         } else {
             for (char& c : value) c = static_cast<char>(golden_lcg(state));
         }
-        Status st = i % 97 == 0 ? w.add(key, {}, true)
-                                : w.add(key, Stamp{1000 + i, static_cast<std::uint32_t>(i % 3)},
-                                        value);
+        Status st = w.add(key, Stamp{1000 + i, static_cast<std::uint32_t>(i % 3)}, value,
+                          /*tombstone=*/i % 97 == 0);
         EXPECT_TRUE(st.ok()) << st.to_string();
     }
     auto meta = w.finish();
@@ -450,19 +450,19 @@ TableMeta write_golden_nova_table(const std::string& path) {
     return *meta;
 }
 
-/// Size and crc32 of write_golden_nova_table's file as the trial-encoding,
-/// double-hashing table writer produced it (its stamped values built by
-/// prepending the stamp to the value).
-constexpr std::size_t kGoldenNovaTableBytes = 644503;
-constexpr std::uint32_t kGoldenNovaTableCrc = 0x92A3C574u;
+/// Size and crc32 of write_golden_nova_table's file in table format v3
+/// (shared-prefix keys, varint lengths and stamps, word-at-a-time bloom
+/// hash).
+constexpr std::size_t kGoldenNovaTableBytes = 509004;
+constexpr std::uint32_t kGoldenNovaTableCrc = 0xBA6EF157u;
 
 TEST(SstGoldenTest, NovaTableBytesMatchRecordedDigest) {
     const std::string dir = temp_dir("sst_golden");
     const TableMeta meta = write_golden_nova_table(dir + "/t.sst");
     const std::string bytes = read_file(dir + "/t.sst");
     ASSERT_EQ(bytes.size(), meta.bytes);
-    // Recorded from the table writer before codec choice by counting and
-    // single-hash blooms: the on-disk format did not move by one byte.
+    // A change to these bytes is a change of the on-disk format: tables
+    // already written would no longer read back.
     EXPECT_EQ(bytes.size(), kGoldenNovaTableBytes);
     EXPECT_EQ(crc32(bytes), kGoldenNovaTableCrc);
 
@@ -535,6 +535,309 @@ TEST(SstBloomSizingTest, CompactionOutputsSizeTheirBloomToTheirOwnEntries) {
     fs::remove_all(dir);
 }
 
+// ------------------------------------------------- v3 entry format
+
+struct SstRow {
+    std::string key;
+    Stamp stamp;
+    std::string value;
+    bool tombstone = false;
+    bool operator==(const SstRow& o) const {
+        return key == o.key && stamp.seq == o.stamp.seq && stamp.epoch == o.stamp.epoch &&
+               value == o.value && tombstone == o.tombstone;
+    }
+};
+
+/// Rows that cross restart points inside blocks (~60 small records per
+/// 1 KiB block), with keys extending their predecessor ("…/0007",
+/// "…/0007x", "…/0007xy"), tombstones, epochs != 0, and two 2 KiB values in
+/// a row, the second of which fills a block on its own.
+std::vector<SstRow> format_rows() {
+    std::vector<SstRow> rows;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        char key[32];
+        std::snprintf(key, sizeof key, "dataset/run/%04llu", static_cast<unsigned long long>(i));
+        const auto epoch = static_cast<std::uint32_t>(i % 5 == 0 ? 0 : 1000 + i);
+        const std::uint64_t seq = (i * 2654435761u) % 100000 + 1;
+        if (i % 11 == 3) {
+            rows.push_back({key, {seq, epoch}, "", true});
+        } else {
+            const std::size_t len = (i == 150 || i == 151) ? 2048 : i % 13;
+            rows.push_back({key, {seq, epoch}, std::string(len, static_cast<char>('a' + i % 26))});
+        }
+        if (i % 7 == 0) {
+            rows.push_back({std::string(key) + "x", {seq + 1, 0}, "extends"});
+            rows.push_back({std::string(key) + "xy", {seq + 2, 7}, "", true});
+        }
+    }
+    rows.push_back({"dataset/run/zz", {1ull << 60, ~0u}, "large varints"});
+    return rows;
+}
+
+std::string write_format_table(const std::string& path, const std::vector<SstRow>& rows,
+                               std::size_t block_bytes = 1024) {
+    SstWriter w(path, 1, block_bytes, /*compress_blocks=*/false);
+    for (const SstRow& r : rows) EXPECT_TRUE(w.add(r.key, r.stamp, r.value, r.tombstone).ok());
+    auto meta = w.finish();
+    EXPECT_TRUE(meta.ok()) << meta.status().to_string();
+    EXPECT_EQ(meta->entries, rows.size());
+    EXPECT_FALSE(meta->tombstone_free);
+    return path;
+}
+
+/// Every row of `reader`, through a cached or a compaction iterator.
+Status read_rows(SstReader& reader, bool cached, std::vector<SstRow>& out) {
+    auto it = cached ? reader.make_iterator() : reader.make_compaction_iterator();
+    Status st = it.seek_after({});
+    while (st.ok() && it.valid()) {
+        out.push_back({std::string(it.key()), it.stamp(), std::string(it.value()),
+                       it.is_tombstone()});
+        st = it.next();
+    }
+    return st;
+}
+
+TEST(SstFormatTest, RoundTripsPrefixesRestartsTombstonesAndStamps) {
+    const std::string dir = temp_dir("sst_format");
+    const std::vector<SstRow> rows = format_rows();
+    const std::string path = write_format_table(dir + "/t.sst", rows);
+    std::size_t raw_bytes = 0;
+    for (const SstRow& r : rows) raw_bytes += r.key.size() + r.value.size();
+
+    auto cache = std::make_shared<BlockCache>(1 << 20, 1 << 20);
+    auto reader = SstReader::open(path, 1, cache);
+    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+    for (bool cached : {true, false}) {
+        std::vector<SstRow> got;
+        ASSERT_TRUE(read_rows(**reader, cached, got).ok());
+        EXPECT_EQ(got, rows) << (cached ? "cached" : "compaction") << " iterator";
+    }
+    for (const SstRow& r : rows) {
+        auto hit = (*reader)->get(r.key);
+        ASSERT_TRUE(hit.ok()) << r.key << ": " << hit.status().to_string();
+        EXPECT_EQ(hit->stamp.seq, r.stamp.seq) << r.key;
+        EXPECT_EQ(hit->stamp.epoch, r.stamp.epoch) << r.key;
+        EXPECT_EQ(hit->value.has_value(), !r.tombstone) << r.key;
+        if (!r.tombstone) {
+            EXPECT_EQ(*hit->value, r.value) << r.key;
+        }
+    }
+    // Absent keys between, around and inside shared prefixes.
+    for (const char* absent : {"", "dataset/run/", "dataset/run/0000w", "dataset/run/0007xz",
+                               "dataset/run/0007xyz", "dataset/run/0008x", "dataset/run/01",
+                               "dataset/run/zy", "dataset/run/zzz", "zzz"}) {
+        EXPECT_EQ((*reader)->get(absent).status().code(), StatusCode::kNotFound) << absent;
+    }
+    // Seeks land where an ordered map says, across restarts and blocks.
+    std::map<std::string, std::size_t> order;
+    for (std::size_t i = 0; i < rows.size(); ++i) order[rows[i].key] = i;
+    for (const std::string bound : {"", "dataset/run/0007", "dataset/run/0007x",
+                                    "dataset/run/0007xa", "dataset/run/0150", "dataset/run/0151",
+                                    "dataset/run/0299", "dataset/run/zz", "zzz"}) {
+        for (bool inclusive : {true, false}) {
+            auto it = (*reader)->make_iterator();
+            ASSERT_TRUE((inclusive ? it.seek_geq(bound) : it.seek_after(bound)).ok());
+            auto want = inclusive ? order.lower_bound(bound) : order.upper_bound(bound);
+            ASSERT_EQ(it.valid(), want != order.end()) << bound;
+            if (it.valid()) {
+                EXPECT_EQ(it.key(), want->first) << bound << " " << inclusive;
+            }
+        }
+    }
+    // Keys cost their suffix: the table is smaller than its raw keys and values.
+    EXPECT_LT(fs::file_size(path), raw_bytes);
+    reader->reset();
+    fs::remove_all(dir);
+}
+
+/// Where block 0 of an uncompressed table sits in its file, and the index
+/// fields that describe it.
+struct BlockZero {
+    std::size_t payload = 0, payload_len = 0;  // the raw block inside its envelope
+    std::size_t crc_at = 0;                    // index: the envelope's crc32
+    std::size_t restarts_at = 0, n_restarts = 0;
+};
+
+BlockZero locate_block_zero(const std::string& bytes) {
+    BlockZero b;
+    std::uint64_t index_off = 0, offset = 0, size = 0;
+    std::uint32_t klen = 0, bloom_len = 0, n_restarts = 0;
+    std::memcpy(&index_off, bytes.data() + bytes.size() - 56, 8);
+    std::size_t p = index_off + 8;
+    std::memcpy(&klen, bytes.data() + p, 4);
+    p += 4 + klen;
+    std::memcpy(&offset, bytes.data() + p, 8);
+    std::memcpy(&size, bytes.data() + p + 8, 8);
+    b.payload = offset + kBlockEnvelopeHeader;
+    b.payload_len = size - kBlockEnvelopeHeader;
+    b.crc_at = p + 16;
+    std::memcpy(&bloom_len, bytes.data() + p + 24, 4);
+    p += 28 + bloom_len;
+    std::memcpy(&n_restarts, bytes.data() + p, 4);
+    b.restarts_at = p + 4;
+    b.n_restarts = n_restarts;
+    return b;
+}
+
+/// Re-checksum block 0 after its raw bytes were edited, so the reader gets
+/// past the crc to the record decoder.
+void reseal_block_zero(std::string& bytes, const BlockZero& b) {
+    const std::uint32_t crc = crc32(std::string_view(bytes).substr(
+        b.payload - kBlockEnvelopeHeader, b.payload_len + kBlockEnvelopeHeader));
+    std::memcpy(bytes.data() + b.crc_at, &crc, 4);
+}
+
+TEST(SstFormatTest, MalformedRecordsAndRestartsReadAsCorruption) {
+    const std::string dir = temp_dir("sst_format_corrupt");
+    // One block of 41 records (restarts at 0, 16 and 32), the last a
+    // tombstone, so its epoch varint is the block's final byte.
+    std::vector<SstRow> rows;
+    for (int i = 0; i < 40; ++i) {
+        rows.push_back({"event/" + std::to_string(100 + i), {static_cast<std::uint64_t>(i + 1), 0},
+                        "v" + std::to_string(i)});
+    }
+    rows.push_back({"event/zz", {99, 3}, "", true});
+    const std::string path = write_format_table(dir + "/t.sst", rows, 1 << 16);
+    const std::string good = read_file(path);
+    const BlockZero b = locate_block_zero(good);
+    ASSERT_EQ(b.n_restarts, 3u);  // records 0, 16 and 32
+
+    // Damage the index can show fails the open; damage inside a block fails
+    // the get of `probe` and every full scan.
+    auto expect_corrupt = [&](const std::string& bytes, const std::string& probe,
+                              const std::string& what, bool at_open = false) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        auto reader = SstReader::open(path, 2, std::make_shared<BlockCache>(1 << 20, 1 << 20));
+        if (at_open) {
+            EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << what;
+            return;
+        }
+        ASSERT_TRUE(reader.ok()) << what << ": " << reader.status().to_string();
+        EXPECT_EQ((*reader)->get(probe).status().code(), StatusCode::kCorruption) << what;
+        for (bool cached : {true, false}) {
+            std::vector<SstRow> got;
+            EXPECT_EQ(read_rows(**reader, cached, got).code(), StatusCode::kCorruption) << what;
+            EXPECT_LT(got.size(), rows.size()) << what;
+        }
+    };
+
+    // Record 1 claims to share more bytes than record 0's key has.
+    const std::size_t record1 = 3 + rows[0].key.size() + 2 + rows[0].value.size();
+    std::string bytes = good;
+    ASSERT_EQ(bytes[b.payload + record1], 8);  // "event/10" is shared
+    bytes[b.payload + record1] = 0x7F;
+    reseal_block_zero(bytes, b);
+    expect_corrupt(bytes, rows[1].key, "shared > previous key");
+
+    // The final epoch varint continues past the end of the block.
+    bytes = good;
+    bytes[b.payload + b.payload_len - 1] = static_cast<char>(0x83);
+    reseal_block_zero(bytes, b);
+    expect_corrupt(bytes, "event/zz", "varint past the block");
+
+    // The final record's key suffix runs past the block.
+    bytes = good;
+    const std::size_t last = b.payload + b.payload_len - (3 + 2 + 2);  // header, "zz", stamp
+    ASSERT_EQ(bytes[last + 1], 2);  // non_shared of "event/zz"
+    bytes[last + 1] = 0x70;
+    reseal_block_zero(bytes, b);
+    expect_corrupt(bytes, "event/zz", "suffix past the block");
+
+    // A restart offset past the block fails the open; one that lands
+    // inside a record reads a non-zero shared length where a full key
+    // must be.
+    for (std::uint32_t delta : {std::uint32_t{1}, std::uint32_t(b.payload_len)}) {
+        bytes = good;
+        std::uint32_t restart = 0;
+        std::memcpy(&restart, bytes.data() + b.restarts_at + 4, 4);
+        restart += delta;
+        std::memcpy(bytes.data() + b.restarts_at + 4, &restart, 4);
+        expect_corrupt(bytes, rows[20].key, "restart offset +" + std::to_string(delta),
+                       /*at_open=*/delta > 1);
+    }
+    fs::remove_all(dir);
+}
+
+// ------------------------------------------------- v3 WAL records
+
+struct WalRow {
+    Wal::RecordType type;
+    std::string key, value;
+    std::uint32_t epoch;
+    bool operator==(const WalRow&) const = default;
+};
+
+std::vector<WalRow> replay_rows(const std::string& path) {
+    std::vector<WalRow> out;
+    auto n = Wal::replay(path, [&](Wal::RecordType type, std::string_view key,
+                                   std::string_view value, std::uint32_t epoch) {
+        out.push_back({type, std::string(key), std::string(value), epoch});
+    });
+    EXPECT_TRUE(n.ok());
+    EXPECT_EQ(*n, out.size());
+    return out;
+}
+
+TEST(WalFormatTest, PrefixSharedRecordsReplayInOrderAndStopAtATornOne) {
+    const std::string dir = temp_dir("wal_format");
+    const std::string path = dir + "/wal.000001.log";
+    std::vector<WalRow> rows;
+    std::vector<std::uintmax_t> ends;  // file size after each record
+    std::size_t full_key_bytes = 0;
+    {
+        Wal wal;
+        ASSERT_TRUE(wal.open(path).ok());
+        for (int i = 0; i < 60; ++i) {
+            std::string key = "uuid-0123456789abcdef/run/0001/event/" + std::to_string(1000 + i / 3);
+            key += i % 3 == 0 ? "" : i % 3 == 1 ? "/hits" : "/hits#vector";  // extends its predecessor
+            WalRow row{Wal::RecordType::kPut, key, std::string(i % 4, 'p'),
+                       static_cast<std::uint32_t>(i % 6 == 5 ? 40 + i : 0)};
+            if (i % 10 == 9) row = {Wal::RecordType::kDelete, key, "", 0};
+            ASSERT_TRUE((row.type == Wal::RecordType::kDelete
+                             ? wal.append_delete(row.key)
+                             : wal.append_put(row.key, row.value, row.epoch))
+                            .ok());
+            ASSERT_TRUE(wal.sync().ok());
+            rows.push_back(row);
+            ends.push_back(fs::file_size(path));
+            full_key_bytes += key.size();
+        }
+        EXPECT_EQ(wal.bytes_written(), ends.back());
+    }
+    EXPECT_EQ(replay_rows(path), rows);
+    EXPECT_LT(ends.back(), full_key_bytes / 2);  // keys cost their suffix
+
+    // Torn inside any record: exactly the records before it come back,
+    // with their keys rebuilt from the shared prefixes.
+    const std::string whole = read_file(path);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const std::uintmax_t begin = k == 0 ? 0 : ends[k - 1];
+        for (std::uintmax_t cut : {begin + 1, (begin + ends[k]) / 2, ends[k] - 1}) {
+            if (cut <= begin) continue;
+            std::ofstream(path, std::ios::binary | std::ios::trunc) << whole.substr(0, cut);
+            const std::vector<WalRow> got = replay_rows(path);
+            EXPECT_EQ(got, std::vector<WalRow>(rows.begin(), rows.begin() + k)) << "cut " << cut;
+        }
+    }
+    // A flipped byte mid-run ends replay there too.
+    std::string flipped = whole;
+    flipped[(ends[29] + ends[30]) / 2] ^= 0x10;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
+    EXPECT_EQ(replay_rows(path), std::vector<WalRow>(rows.begin(), rows.begin() + 30));
+
+    // A reopened log's first record shares nothing, so a segment appended
+    // to after a restart replays whole.
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << whole;
+    {
+        Wal wal;
+        ASSERT_TRUE(wal.open(path).ok());
+        ASSERT_TRUE(wal.append_put(rows.back().key + "/more", "after reopen").ok());
+    }
+    rows.push_back({Wal::RecordType::kPut, rows.back().key + "/more", "after reopen", 0});
+    EXPECT_EQ(replay_rows(path), rows);
+    fs::remove_all(dir);
+}
+
 // ----------------------------------------------------- VersionSet unit tests
 
 TableMeta mk_meta(std::uint64_t fn, const std::string& min_k, const std::string& max_k,
@@ -545,7 +848,6 @@ TableMeta mk_meta(std::uint64_t fn, const std::string& min_k, const std::string&
     m.max_key = max_k;
     m.entries = entries;
     m.bytes = entries * 100;
-    m.has_meta = true;
     return m;
 }
 
@@ -565,7 +867,6 @@ void expect_states_equal(const ManifestState& a, const ManifestState& b,
             EXPECT_EQ(x.max_key, y.max_key) << what;
             EXPECT_EQ(x.entries, y.entries) << what;
             EXPECT_EQ(x.bytes, y.bytes) << what;
-            EXPECT_EQ(x.has_meta, y.has_meta) << what;
             EXPECT_EQ(x.tombstone_free, y.tombstone_free) << what;
         }
     }
@@ -588,9 +889,7 @@ TEST(VersionSetTest, EditEncodeDecodeRoundTrip) {
     ASSERT_EQ(back->added.size(), 2u);
     EXPECT_EQ(back->added[0].second.min_key, "aaa");
     EXPECT_EQ(back->added[1].second.min_key, std::string("\x00\xff k", 4));
-    EXPECT_TRUE(back->added[0].second.has_meta);
     EXPECT_FALSE(back->added[0].second.tombstone_free);
-    EXPECT_TRUE(back->added[1].second.has_meta);
     EXPECT_TRUE(back->added[1].second.tombstone_free);
     ASSERT_EQ(back->deleted.size(), 1u);
     EXPECT_EQ(back->deleted[0].second, 3u);
@@ -858,6 +1157,11 @@ LsmOptions trivial_move_options(const std::string& path) {
     return opts;
 }
 
+std::size_t varint_bytes(std::uint64_t v) {
+    unsigned char buf[10];
+    return static_cast<std::size_t>(compress::put_varint(buf, v) - buf);
+}
+
 std::string move_key(int i) {
     char key[16];
     std::snprintf(key, sizeof key, "key%06d", i);
@@ -885,18 +1189,32 @@ void expect_reads(LsmDb& db, const std::map<std::string, std::string>& want,
 
 TEST(LsmTrivialMoveTest, BytesWrittenAreCountedPerSource) {
     // Inline flushes, L0 merges and trivial moves over sequential keys. The
-    // WAL gets one frame per put; every live table was written by a flush
-    // or a merge, and a move writes nothing.
+    // WAL gets one frame per put, whose key shares its prefix with the
+    // previous put unless a seal rotated the segment in between; every live
+    // table was written by a flush or a merge, and a move writes nothing.
     const std::string db_dir = temp_dir("bytes_per_source") + "/db";
-    auto opened = LsmDb::open(trivial_move_options(db_dir));
+    const LsmOptions opts = trivial_move_options(db_dir);
+    auto opened = LsmDb::open(opts);
     ASSERT_TRUE(opened.ok()) << opened.status().to_string();
     LsmDb& db = **opened;
-    std::uint64_t frames = 0;
+    std::uint64_t frames = 0, memtable_bytes = 0;
+    std::string prev_key;  // the segment's previous key
     for (int i = 0; i < 3000; ++i) {
         const std::string key = move_key(i);
         const std::string value = move_value(i, 0);
         ASSERT_TRUE(db.put(key, value, true).ok());
-        frames += 8 + 1 + 4 + key.size() + value.size();  // [crc][len][type][klen][key][value]
+        const std::size_t shared = shared_prefix(prev_key, key);
+        // [type][shared][non_shared][suffix][epoch 0][value]
+        const std::size_t body = 1 + varint_bytes(shared) +
+                                 varint_bytes(key.size() - shared) +
+                                 (key.size() - shared) + 1 + value.size();
+        frames += 4 + varint_bytes(body) + body;  // [crc][len][body]
+        prev_key = key;
+        memtable_bytes += key.size() + value.size() + 32;  // LsmDb's seal rule
+        if (memtable_bytes >= opts.memtable_bytes) {
+            memtable_bytes = 0;
+            prev_key.clear();  // the next put opens a fresh segment
+        }
     }
     ASSERT_TRUE(db.flush().ok());
 
@@ -1150,8 +1468,10 @@ void run_reopen_torture(const std::string& memtable_kind) {
     opts.memtable_bytes = 700;   // seal every handful of writes
     opts.block_bytes = 256;
     opts.l0_compaction_trigger = 2;
-    opts.target_file_bytes = 1024;
-    opts.level_base_bytes = 2048;  // deep levels fill, so L1+ tables move and merge
+    opts.target_file_bytes = 512;
+    // Deep levels fill, so L1+ tables move and merge: sized for tables of
+    // shared-prefix keys and varint stamps, smaller than the raw entries.
+    opts.level_base_bytes = 768;
     opts.level_multiplier = 2;
     opts.background_compaction = false;  // deterministic inline boundaries
     opts.wal_sync_every_put = true;      // every acked write is on disk
@@ -1210,123 +1530,6 @@ void run_reopen_torture(const std::string& memtable_kind) {
 
 TEST(LsmTortureTest, ReopenKillAtEveryBoundarySkiplist) { run_reopen_torture("skiplist"); }
 TEST(LsmTortureTest, ReopenKillAtEveryBoundaryMap) { run_reopen_torture("map"); }
-
-// ----------------------------------------- legacy MANIFEST.json upgrade path
-
-std::string stamped(std::uint64_t seq, std::uint32_t epoch, std::string_view value) {
-    std::string out;
-    out.append(reinterpret_cast<const char*>(&seq), 8);
-    out.append(reinterpret_cast<const char*>(&epoch), 4);
-    out.append(value);
-    return out;
-}
-
-/// Build a database directory exactly as the pre-VersionSet code left it:
-/// a format-2 MANIFEST.json, a flushed SSTable, and a legacy single wal.log.
-void build_legacy_layout(const std::string& db_dir) {
-    fs::create_directories(db_dir);
-    SstWriter w(db_dir + "/1.sst", 1, 512, /*compress_blocks=*/false);
-    ASSERT_TRUE(w.add("flushed-a", stamped(2, 0, "A")).ok());
-    ASSERT_TRUE(w.add("flushed-b", stamped(3, 5, "B")).ok());
-    ASSERT_TRUE(w.add("flushed-c", stamped(4, 0, "C")).ok());
-    auto meta = w.finish();
-    ASSERT_TRUE(meta.ok());
-
-    json::Value doc = json::Value::make_object();
-    doc["format"] = 2;
-    doc["next_file"] = 2;
-    doc["last_seq"] = 4;
-    json::Value levels = json::Value::make_array();
-    json::Value l0 = json::Value::make_array();
-    json::Value t = json::Value::make_object();
-    t["file"] = 1;
-    t["min"] = "flushed-a";
-    t["max"] = "flushed-c";
-    t["entries"] = 3;
-    t["bytes"] = meta->bytes;
-    t["meta"] = true;
-    l0.push_back(std::move(t));
-    levels.push_back(std::move(l0));
-    doc["levels"] = std::move(levels);
-    std::FILE* f = std::fopen((db_dir + "/MANIFEST.json").c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string text = doc.dump(2);
-    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
-    std::fclose(f);
-
-    Wal wal;
-    ASSERT_TRUE(wal.open(db_dir + "/wal.log").ok());
-    ASSERT_TRUE(wal.append_put("walkey-1", "W1").ok());
-    ASSERT_TRUE(wal.append_put_epoch("walkey-2", "W2", 5).ok());
-    ASSERT_TRUE(wal.append_delete("flushed-c").ok());
-    ASSERT_TRUE(wal.sync().ok());
-    wal.close();
-}
-
-void expect_legacy_contents(Database& db) {
-    const auto rows = dump_db(db);
-    ASSERT_EQ(rows.size(), 4u);
-    // WAL replay re-derives seqs deterministically above last_seq=4.
-    EXPECT_EQ(rows[0], (StampedRow{"flushed-a", "A", 2, 0}));
-    EXPECT_EQ(rows[1], (StampedRow{"flushed-b", "B", 3, 5}));
-    EXPECT_EQ(rows[2], (StampedRow{"walkey-1", "W1", 5, 0}));
-    EXPECT_EQ(rows[3], (StampedRow{"walkey-2", "W2", 6, 5}));
-    auto erased = db.get("flushed-c");
-    EXPECT_EQ(erased.status().code(), StatusCode::kNotFound);
-}
-
-TEST(LsmLegacyUpgradeTest, JsonManifestUpgradesToVersionSet) {
-    const std::string dir = temp_dir("legacy_upgrade");
-    build_legacy_layout(dir + "/db");
-    lsm::LsmOptions opts;
-    opts.path = dir + "/db";
-    {
-        auto db = lsm::LsmDb::open(opts);
-        ASSERT_TRUE(db.ok()) << db.status().to_string();
-        expect_legacy_contents(**db);
-    }
-    // The upgrade is durable: JSON replaced by CURRENT + A/B logs.
-    EXPECT_FALSE(fs::exists(opts.path + "/MANIFEST.json"));
-    EXPECT_TRUE(fs::exists(opts.path + "/CURRENT"));
-    // And a second open reads the new format with identical content.
-    auto db = lsm::LsmDb::open(opts);
-    ASSERT_TRUE(db.ok());
-    expect_legacy_contents(**db);
-}
-
-TEST(LsmLegacyUpgradeTest, TortureKillDuringUpgrade) {
-    const std::string base = temp_dir("legacy_torture");
-    const std::string images = temp_dir("legacy_torture_images");
-    build_legacy_layout(base + "/db");
-
-    std::vector<std::string> captured;
-    lsm::LsmOptions opts;
-    opts.path = base + "/db";
-    opts.crash_hook = [&](std::string_view) {
-        const std::string img = images + "/img" + std::to_string(captured.size());
-        fs::create_directories(img);
-        for (const auto& e : fs::directory_iterator(opts.path)) {
-            fs::copy(e.path(), img + "/" + e.path().filename().string());
-        }
-        captured.push_back(img);
-    };
-    {
-        auto db = lsm::LsmDb::open(opts);
-        ASSERT_TRUE(db.ok());
-        expect_legacy_contents(**db);
-    }
-    ASSERT_GE(captured.size(), 3u);  // snapshot write, sync, CURRENT flip
-    // A crash at any point of the upgrade leaves a readable database with
-    // identical contents: either the JSON manifest is still authoritative or
-    // the flipped VersionSet is.
-    lsm::LsmOptions reopen;
-    for (const auto& img : captured) {
-        reopen.path = img;
-        auto db = lsm::LsmDb::open(reopen);
-        ASSERT_TRUE(db.ok()) << img << ": " << db.status().to_string();
-        expect_legacy_contents(**db);
-    }
-}
 
 // ------------------------------------------------- knob echo / stats wiring
 

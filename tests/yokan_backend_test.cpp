@@ -507,7 +507,7 @@ TEST(WalTest, ReplayStopsAtTornRecord) {
     fs::resize_file(path, full - 3);
     int applied = 0;
     auto n = lsm::Wal::replay(path, [&](lsm::Wal::RecordType, std::string_view k,
-                                        std::string_view) {
+                                        std::string_view, std::uint32_t) {
         ++applied;
         EXPECT_EQ(k, "a");
     });
@@ -531,7 +531,8 @@ TEST(WalTest, ReplayDetectsCorruptCrc) {
     f.seekp(10);
     f.put('!');
     f.close();
-    auto n = lsm::Wal::replay(path, [](lsm::Wal::RecordType, std::string_view, std::string_view) {
+    auto n = lsm::Wal::replay(path, [](lsm::Wal::RecordType, std::string_view, std::string_view,
+                                       std::uint32_t) {
         FAIL() << "corrupt record must not be applied";
     });
     ASSERT_TRUE(n.ok());
@@ -542,9 +543,9 @@ TEST(WalTest, ReplayDetectsCorruptCrc) {
 TEST(SstTest, WriterRequiresSortedKeys) {
     const std::string dir = temp_dir("sorted");
     lsm::SstWriter w(dir + "/t.sst", 1, 4096);
-    ASSERT_TRUE(w.add("b", "1").ok());
-    EXPECT_FALSE(w.add("a", "2").ok());
-    EXPECT_FALSE(w.add("b", "3").ok());  // duplicates rejected too
+    ASSERT_TRUE(w.add("b", Stamp{1, 0}, "1").ok());
+    EXPECT_FALSE(w.add("a", Stamp{2, 0}, "2").ok());
+    EXPECT_FALSE(w.add("b", Stamp{3, 0}, "3").ok());  // duplicates rejected too
     fs::remove_all(dir);
 }
 
@@ -554,7 +555,7 @@ TEST(SstTest, WriteReadIterate) {
     for (int i = 0; i < 100; ++i) {
         char key[16];
         std::snprintf(key, sizeof(key), "k%03d", i);
-        ASSERT_TRUE(w.add(key, "value" + std::to_string(i)).ok());
+        ASSERT_TRUE(w.add(key, Stamp{}, "value" + std::to_string(i)).ok());
     }
     auto meta = w.finish();
     ASSERT_TRUE(meta.ok());
@@ -567,8 +568,8 @@ TEST(SstTest, WriteReadIterate) {
     ASSERT_TRUE(reader.ok()) << reader.status().to_string();
     auto v = (*reader)->get("k042");
     ASSERT_TRUE(v.ok());
-    ASSERT_TRUE(v->has_value());
-    EXPECT_EQ(**v, "value42");
+    ASSERT_TRUE(v->value.has_value());
+    EXPECT_EQ(*v->value, "value42");
     EXPECT_FALSE((*reader)->get("missing").ok());
 
     auto it = (*reader)->make_iterator();
@@ -589,7 +590,7 @@ TEST(SstTest, BlockCorruptionDetectedByChecksum) {
     const std::string dir = temp_dir("blockcrc");
     lsm::SstWriter w(dir + "/t.sst", 3, 4096);
     for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(w.add("key" + std::to_string(i), std::string(50, 'v')).ok());
+        ASSERT_TRUE(w.add("key" + std::to_string(i), Stamp{}, std::string(50, 'v')).ok());
     }
     ASSERT_TRUE(w.finish().ok());
 
