@@ -165,12 +165,6 @@ struct ModeResult {
     }
 };
 
-double quantile(std::vector<double> sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-}
-
 ModeResult run_mode(Mode mode) {
     auto svc = make_service(mode == Mode::kTier);
     if (!svc) return {};
@@ -257,8 +251,8 @@ ModeResult run_mode(Mode mode) {
         }
     }
     std::sort(samples.begin(), samples.end());
-    r.p50_ms = quantile(samples, 0.50);
-    r.p99_ms = quantile(samples, 0.99);
+    r.p50_ms = bench::quantile(samples, 0.50);
+    r.p99_ms = bench::quantile(samples, 0.99);
     double sum = 0;
     for (double s : samples) sum += s;
     r.mean_ms = samples.empty() ? 0 : sum / static_cast<double>(samples.size());

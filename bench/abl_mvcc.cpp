@@ -110,12 +110,6 @@ query::proto::QuerySpec selection_spec() {
         std::string(hepnos::product_type_name<std::vector<nova::Slice>>()));
 }
 
-double quantile(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-}
-
 double mean_of(const std::vector<double>& v) {
     double sum = 0;
     for (double x : v) sum += x;
@@ -221,8 +215,8 @@ PublishResult run_publish_phase(hepnos::DataStore& store) {
         ++r.rounds;
     }
     std::sort(samples.begin(), samples.end());
-    r.p50_ms = quantile(samples, 0.50);
-    r.p99_ms = quantile(samples, 0.99);
+    r.p50_ms = bench::quantile(samples, 0.50);
+    r.p99_ms = bench::quantile(samples, 0.99);
     r.mean_ms = mean_of(samples);
     return r;
 }

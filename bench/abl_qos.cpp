@@ -44,12 +44,6 @@ constexpr std::size_t kValueBytes = 16384; // heavy enough that the backlog outl
 constexpr std::size_t kHotKeys = 256;
 constexpr std::size_t kGetsPerRound = 40;
 
-double quantile(std::vector<double> sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-}
-
 struct ModeResult {
     double p50_ms = 0, p99_ms = 0, mean_ms = 0;
     double wall_s = 0;
@@ -165,8 +159,8 @@ ModeResult run_mode(bool qos_on) {
     r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
     std::sort(samples.begin(), samples.end());
-    r.p50_ms = quantile(samples, 0.50);
-    r.p99_ms = quantile(samples, 0.99);
+    r.p50_ms = bench::quantile(samples, 0.50);
+    r.p99_ms = bench::quantile(samples, 0.99);
     double sum = 0;
     for (double s : samples) sum += s;
     r.mean_ms = samples.empty() ? 0 : sum / static_cast<double>(samples.size());
@@ -371,7 +365,7 @@ void BM_AdmissionCycle(benchmark::State& state) {
         const auto now = qos::Clock::now();
         benchmark::DoNotOptimize(ctrl.admit(1, "bench", qos::kClassInteractive, 0, now));
         benchmark::DoNotOptimize(ctrl.on_start(1, qos::kClassInteractive, 0, now, now));
-        ctrl.on_complete(qos::kClassInteractive, 10.0);
+        ctrl.on_complete(qos::kClassInteractive, std::chrono::microseconds(10));
     }
     state.SetItemsProcessed(state.iterations());
 }

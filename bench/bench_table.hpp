@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <type_traits>
@@ -33,6 +34,14 @@ inline std::string fmt_throughput(double slices_per_s) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.2fM", slices_per_s / 1e6);
     return buf;
+}
+
+/// Value at quantile q of an ascending-sorted sample: the element at index
+/// floor(q * (n - 1)), or 0 for an empty sample.
+inline double quantile(const std::vector<double>& sorted, double q) {
+    if (sorted.empty()) return 0.0;
+    const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
+    return sorted[idx];
 }
 
 /// Run a bench's print_reproduction(): its verdict if it returns bool,

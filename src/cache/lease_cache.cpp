@@ -268,8 +268,8 @@ json::Value LeaseCache::stats_json() const {
     out["lease_expiries"] = c.lease_expiries;
     out["renewals"] = c.renewals;
     out["skipped_fills"] = c.skipped_fills;
-    out["hit_latency_ms"] = hit_latency_.to_json();
-    out["miss_latency_ms"] = miss_latency_.to_json();
+    out["hit_latency"] = hit_latency_.to_json("_us", 1e3);
+    out["miss_latency"] = miss_latency_.to_json("_us", 1e3);
     return out;
 }
 

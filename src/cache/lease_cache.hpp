@@ -53,8 +53,8 @@
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/histogram.hpp"
 #include "common/json.hpp"
-#include "symbio/metrics.hpp"
 
 namespace hep::cache {
 
@@ -189,9 +189,16 @@ class LeaseCache {
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::size_t bytes() const;
 
-    /// Read-latency histograms (milliseconds), sampled by the read paths.
-    [[nodiscard]] symbio::Histogram& hit_latency() noexcept { return hit_latency_; }
-    [[nodiscard]] symbio::Histogram& miss_latency() noexcept { return miss_latency_; }
+    /// Read-latency histograms (nanoseconds), sampled by the read paths.
+    [[nodiscard]] Histogram& hit_latency() noexcept { return hit_latency_; }
+    [[nodiscard]] Histogram& miss_latency() noexcept { return miss_latency_; }
+    /// Nanoseconds since `start`: the unit of both latency histograms.
+    [[nodiscard]] static std::uint64_t ns_since(
+        std::chrono::steady_clock::time_point start) noexcept {
+        const auto elapsed = std::chrono::steady_clock::now() - start;
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+    }
 
     struct Counters {
         std::uint64_t hits = 0;
@@ -260,8 +267,8 @@ class LeaseCache {
     std::size_t bytes_ = 0;
     Counters counters_;
 
-    symbio::Histogram hit_latency_;
-    symbio::Histogram miss_latency_;
+    Histogram hit_latency_;
+    Histogram miss_latency_;
 };
 
 }  // namespace hep::cache

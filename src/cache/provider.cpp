@@ -17,11 +17,6 @@ std::string qualified_key(const std::string& db_id, std::string_view key) {
     out += key;
     return out;
 }
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
 }  // namespace
 
 Provider::Provider(margo::Engine& engine, rpc::ProviderId provider_id,
@@ -41,7 +36,7 @@ Result<proto::GetResp> Provider::handle_get(const proto::GetReq& req) {
 
     auto found = table_->lookup(qual);
     if (found.state == LeaseCache::LookupState::kHit) {
-        table_->hit_latency().observe(ms_since(t0));
+        table_->hit_latency().record(LeaseCache::ns_since(t0));
         return proto::GetResp{found.value, found.seq, /*hit=*/true};
     }
     // Fills and revalidations self-classify as batch under the "cache"
@@ -59,7 +54,7 @@ Result<proto::GetResp> Provider::handle_get(const proto::GetReq& req) {
             req.owner_server, "yokan_seq", req.owner_provider, {req.db},
             std::chrono::milliseconds{0}, fill_tag);
         if (seq.ok() && seq->seq == found.seq && table_->renew(qual, found.seq, renew_ticket)) {
-            table_->hit_latency().observe(ms_since(t0));
+            table_->hit_latency().record(LeaseCache::ns_since(t0));
             return proto::GetResp{found.value, found.seq, /*hit=*/true};
         }
     }
@@ -72,7 +67,7 @@ Result<proto::GetResp> Provider::handle_get(const proto::GetReq& req) {
         std::chrono::milliseconds{0}, fill_tag);
     if (!got.ok()) return got.status();  // NotFound is not cached (no negative entries)
     table_->fill(qual, got->value, got->seq, ticket, got->vseq, got->vepoch);
-    table_->miss_latency().observe(ms_since(t0));
+    table_->miss_latency().record(LeaseCache::ns_since(t0));
     return proto::GetResp{got->value, got->seq, /*hit=*/false};
 }
 

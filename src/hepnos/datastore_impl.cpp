@@ -206,11 +206,6 @@ std::string cache_fill_target(const yokan::DatabaseHandle& db) {
     return cache_db_id(db);
 }
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 }  // namespace
 
 Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_key,
@@ -227,7 +222,7 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
     const auto start = std::chrono::steady_clock::now();
     auto found = cache_->lookup(key);
     if (found.state == cache::LeaseCache::LookupState::kHit) {
-        cache_->hit_latency().observe(ms_since(start));
+        cache_->hit_latency().record(cache::LeaseCache::ns_since(start));
         return std::move(found.value);
     }
     if (found.state == cache::LeaseCache::LookupState::kExpired) {
@@ -240,7 +235,7 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
         const auto renew_ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
         auto seq = db.mutation_seq();
         if (seq.ok() && *seq == found.seq && cache_->renew(key, *seq, renew_ticket)) {
-            cache_->hit_latency().observe(ms_since(start));
+            cache_->hit_latency().record(cache::LeaseCache::ns_since(start));
             return std::move(found.value);
         }
     }
@@ -254,7 +249,7 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
                             qos_ ? qos_->point_tag() : qos::QosTag{});
         if (r.ok()) {
             cache_->fill(key, r->value, r->seq, ticket);
-            cache_->miss_latency().observe(ms_since(start));
+            cache_->miss_latency().record(cache::LeaseCache::ns_since(start));
             return std::move(r->value);
         }
         if (r.status().code() == StatusCode::kNotFound) return r.status();
@@ -264,7 +259,7 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
     auto r = db.get_view_vs(key);
     if (!r.ok()) return r.status();
     cache_->fill(key, r->value, r->seq, ticket);
-    cache_->miss_latency().observe(ms_since(start));
+    cache_->miss_latency().record(cache::LeaseCache::ns_since(start));
     return std::move(r->value);
 }
 

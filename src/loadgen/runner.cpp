@@ -27,8 +27,8 @@ json::Value ClassStats::to_json() const {
     v["items"] = items;
     v["error_rate"] = error_rate();
     v["acked_writes"] = static_cast<std::uint64_t>(acked_writes.size());
-    v["intended"] = intended.to_json();
-    v["service"] = service.to_json();
+    v["intended"] = intended.to_json("_ms", 1e3);
+    v["service"] = service.to_json("_ms", 1e3);
     return v;
 }
 
@@ -60,9 +60,10 @@ std::vector<SloVerdict> evaluate_slos(const WorkloadSpec& spec, const RunStats& 
         const ClassStats& st = stats.classes[c];
         SloVerdict v;
         v.class_name = cls.name;
-        v.p50_ms = st.intended.quantile_ms(0.50);
-        v.p99_ms = st.intended.quantile_ms(0.99);
-        v.p999_ms = st.intended.quantile_ms(0.999);
+        auto ms = [&](double q) { return static_cast<double>(st.intended.quantile(q)) / 1e3; };
+        v.p50_ms = ms(0.50);
+        v.p99_ms = ms(0.99);
+        v.p999_ms = ms(0.999);
         v.error_rate = st.error_rate();
         v.ops = st.ops();
         auto gate = [&](double bound, double measured, const char* name) {

@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/status.hpp"
-#include "loadgen/histogram.hpp"
 #include "loadgen/schedule.hpp"
 #include "loadgen/spec.hpp"
 
@@ -44,8 +44,8 @@ struct OpOutcome {
 using OpExecutor = std::function<OpOutcome(const Arrival&)>;
 
 struct ClassStats {
-    HdrHistogram intended;  // SLO distribution (coordinated-omission-safe)
-    HdrHistogram service;   // actual-send distribution (for comparison)
+    Histogram intended;  // µs; SLO distribution (coordinated-omission-safe)
+    Histogram service;   // µs; actual-send distribution (for comparison)
     std::uint64_t ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t items = 0;

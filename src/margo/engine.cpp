@@ -112,10 +112,8 @@ void Engine::define_chain(std::string_view name, rpc::ProviderId provider_id,
                         }
                     }();
                     if (ctrl) {
-                        const double exec_us = std::chrono::duration<double, std::micro>(
-                                                   std::chrono::steady_clock::now() - exec_start)
-                                                   .count();
-                        ctrl->on_complete(sched_class, exec_us);
+                        ctrl->on_complete(sched_class,
+                                          std::chrono::steady_clock::now() - exec_start);
                     }
                     if (out.ok()) {
                         owned->respond(std::move(out.value()));

@@ -36,7 +36,7 @@ struct EngineConfig {
     /// weighted-fair PriorityPools with these per-class weights, so
     /// latency-sensitive handlers overtake queued bulk work (bedrock "qos"
     /// knob). Empty keeps the historical FIFO pools.
-    std::vector<std::uint32_t> qos_weights;
+    std::vector<std::uint32_t> qos_weights{};
 };
 
 class Engine {

@@ -89,57 +89,16 @@ AdmissionOptions AdmissionOptions::from_json(const json::Value& cfg) {
     return opts;
 }
 
-// ---- LatencyHist ------------------------------------------------------------
+// ---- AdmissionController ----------------------------------------------------
 
 namespace {
 
-std::size_t bucket_index_us(double us) noexcept {
-    if (us < 1.0) return 0;
-    const auto idx = static_cast<std::size_t>(std::log2(us)) + 1;
-    return std::min(idx, LatencyHist::kBuckets - 1);
-}
-
-double bucket_upper_us(std::size_t idx) noexcept {
-    if (idx == 0) return 1.0;
-    return std::ldexp(1.0, static_cast<int>(idx));
+void record_ns(Histogram& h, Clock::duration d) noexcept {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+    h.record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
 }
 
 }  // namespace
-
-void LatencyHist::observe_us(double us) noexcept {
-    buckets_[bucket_index_us(us)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    double sum = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(sum, sum + us, std::memory_order_relaxed)) {}
-}
-
-double LatencyHist::mean_us() const noexcept {
-    const auto n = count_.load(std::memory_order_relaxed);
-    return n == 0 ? 0.0 : sum_.load(std::memory_order_relaxed) / static_cast<double>(n);
-}
-
-double LatencyHist::quantile_upper_bound_us(double q) const noexcept {
-    const auto n = count_.load(std::memory_order_relaxed);
-    if (n == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(n));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        seen += buckets_[i].load(std::memory_order_relaxed);
-        if (seen > target) return bucket_upper_us(i);
-    }
-    return bucket_upper_us(kBuckets - 1);
-}
-
-json::Value LatencyHist::to_json() const {
-    auto v = json::Value::make_object();
-    v["count"] = count();
-    v["mean_us"] = mean_us();
-    v["p50_us"] = quantile_upper_bound_us(0.50);
-    v["p99_us"] = quantile_upper_bound_us(0.99);
-    return v;
-}
-
-// ---- AdmissionController ----------------------------------------------------
 
 AdmissionController::AdmissionController(AdmissionOptions opts) : opts_(std::move(opts)) {
     if (opts_.weights.size() < kNumClasses) opts_.weights.resize(kNumClasses, 1);
@@ -234,9 +193,7 @@ StartVerdict AdmissionController::on_start(std::uint16_t provider, std::uint8_t 
                                            Clock::time_point enqueued) {
     const std::uint8_t klass = normalize_class(cls).value_or(kClassBatch);
     const auto now = Clock::now();
-    const double queue_us =
-        std::chrono::duration<double, std::micro>(now - enqueued).count();
-    queue_delay_[klass].observe_us(std::max(0.0, queue_us));
+    record_ns(queue_delay_[klass], now - enqueued);
 
     if (budget_ms > 0 && now >= arrival + std::chrono::milliseconds(budget_ms)) {
         Counters& pc = provider_counters(provider);
@@ -248,9 +205,9 @@ StartVerdict AdmissionController::on_start(std::uint16_t provider, std::uint8_t 
     return StartVerdict::kRun;
 }
 
-void AdmissionController::on_complete(std::uint8_t cls, double exec_us) {
+void AdmissionController::on_complete(std::uint8_t cls, Clock::duration exec) {
     const std::uint8_t klass = normalize_class(cls).value_or(kClassBatch);
-    exec_time_[klass].observe_us(std::max(0.0, exec_us));
+    record_ns(exec_time_[klass], exec);
     inflight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -287,8 +244,8 @@ json::Value AdmissionController::stats_json(std::uint16_t provider) const {
     for (unsigned c = 0; c < kNumClasses; ++c) {
         auto entry = json::Value::make_object();
         entry["admitted"] = admitted_by_class_[c].load(std::memory_order_relaxed);
-        entry["queue_delay"] = queue_delay_[c].to_json();
-        entry["exec_time"] = exec_time_[c].to_json();
+        entry["queue_delay"] = queue_delay_[c].to_json("_us", 1e3);
+        entry["exec_time"] = exec_time_[c].to_json("_us", 1e3);
         classes[std::string(class_name(static_cast<std::uint8_t>(c)))] = std::move(entry);
     }
     v["classes"] = std::move(classes);

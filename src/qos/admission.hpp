@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/status.hpp"
 #include "qos/context.hpp"
@@ -91,28 +92,6 @@ struct AdmissionOptions {
     static AdmissionOptions from_json(const json::Value& cfg);
 };
 
-/// Compact log2-bucketed latency histogram (microsecond samples). A local
-/// clone of symbio::Histogram: the qos library sits below margo in the link
-/// order, so it cannot reuse symbio's (symbio links margo links qos).
-class LatencyHist {
-  public:
-    static constexpr std::size_t kBuckets = 40;
-
-    void observe_us(double us) noexcept;
-    [[nodiscard]] std::uint64_t count() const noexcept {
-        return count_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] double mean_us() const noexcept;
-    /// Upper bound of the bucket holding the q-quantile (q in [0,1]).
-    [[nodiscard]] double quantile_upper_bound_us(double q) const noexcept;
-    [[nodiscard]] json::Value to_json() const;
-
-  private:
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0};
-};
-
 /// Outcome of the ULT-side start check.
 enum class StartVerdict { kRun, kExpiredInQueue };
 
@@ -137,7 +116,7 @@ class AdmissionController {
                           Clock::time_point arrival, Clock::time_point enqueued);
 
     /// Handler finished (any outcome): records exec time, decrements inflight.
-    void on_complete(std::uint8_t cls, double exec_us);
+    void on_complete(std::uint8_t cls, Clock::duration exec);
 
     /// Tier-1 backpressure: true while `cls` should keep yielding.
     [[nodiscard]] bool should_slow(std::uint8_t cls) const noexcept;
@@ -193,8 +172,8 @@ class AdmissionController {
     mutable std::mutex buckets_mutex_;
     std::map<std::string, std::unique_ptr<TokenBucket>> buckets_;
 
-    std::array<LatencyHist, kNumClasses> queue_delay_;
-    std::array<LatencyHist, kNumClasses> exec_time_;
+    std::array<Histogram, kNumClasses> queue_delay_;  // ns
+    std::array<Histogram, kNumClasses> exec_time_;    // ns
     std::array<std::atomic<std::uint64_t>, kNumClasses> admitted_by_class_{};
 };
 

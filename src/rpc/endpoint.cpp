@@ -249,12 +249,8 @@ void Endpoint::complete_response(Message msg) {
     if (!take_pending(msg.seq, call)) return;  // late/duplicate/expired response
     if (!msg.status.ok()) {
         call.fail(std::move(msg.status));
-    } else if (call.chain_eventual) {
-        call.chain_eventual->set(std::move(msg.payload));
     } else {
-        // String shim: buy back contiguity here, once (zero-copy when the
-        // payload is a single whole-buffer segment).
-        call.string_eventual->set(std::move(msg.payload).into_string());
+        call.eventual->set(std::move(msg.payload));
     }
 }
 
@@ -360,20 +356,8 @@ std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> Endpoint::call_async_ch
     hep::BufferChain payload, std::chrono::milliseconds deadline, const qos::QosTag& tag) {
     auto ev = std::make_shared<abt::Eventual<Result<hep::BufferChain>>>();
     PendingCall call;
-    call.chain_eventual = ev;
+    call.eventual = ev;
     send_request(to, rpc_name, provider, std::move(payload), deadline, tag, std::move(call));
-    return ev;
-}
-
-std::shared_ptr<abt::Eventual<Result<std::string>>> Endpoint::call_async(
-    const std::string& to, std::string_view rpc_name, ProviderId provider, std::string payload,
-    std::chrono::milliseconds deadline, const qos::QosTag& tag) {
-    auto ev = std::make_shared<abt::Eventual<Result<std::string>>>();
-    hep::BufferChain chain;
-    if (!payload.empty()) chain.append(hep::Buffer::adopt(std::move(payload)));
-    PendingCall call;
-    call.string_eventual = ev;
-    send_request(to, rpc_name, provider, std::move(chain), deadline, tag, std::move(call));
     return ev;
 }
 
@@ -388,8 +372,13 @@ Result<hep::BufferChain> Endpoint::call_chain(const std::string& to, std::string
 Result<std::string> Endpoint::call(const std::string& to, std::string_view rpc_name,
                                    ProviderId provider, std::string payload,
                                    std::chrono::milliseconds deadline, const qos::QosTag& tag) {
-    auto ev = call_async(to, rpc_name, provider, std::move(payload), deadline, tag);
-    return ev->wait();
+    hep::BufferChain chain;
+    if (!payload.empty()) chain.append(hep::Buffer::adopt(std::move(payload)));
+    auto out = call_chain(to, rpc_name, provider, std::move(chain), deadline, tag);
+    if (!out.ok()) return out.status();
+    // Contiguity is bought back here, once (zero-copy when the payload is a
+    // single whole-buffer segment).
+    return std::move(out.value()).into_string();
 }
 
 BulkRef Endpoint::expose(void* data, std::uint64_t size) {

@@ -140,7 +140,7 @@ class Endpoint {
     /// Status::DeadlineExceeded (a late response is dropped as a duplicate).
     /// A zero deadline falls back to the endpoint default; a zero default
     /// means "wait forever" (the seed behavior).
-    /// Compatibility shim over call_chain(): adopts the payload, flattens the
+    /// String form of call_chain(): adopts the payload, flattens the
     /// response. `tag` is the QoS stamp for the wire header; an unset tag
     /// falls back to the endpoint default (set_default_qos).
     Result<std::string> call(const std::string& to, std::string_view rpc_name,
@@ -156,21 +156,15 @@ class Endpoint {
         std::chrono::milliseconds deadline = std::chrono::milliseconds{0},
         const qos::QosTag& tag = {});
 
-    /// Asynchronous RPC: returns an eventual delivering payload-or-status.
-    /// Compatibility shim: the response chain is flattened into a string.
-    std::shared_ptr<abt::Eventual<Result<std::string>>> call_async(
-        const std::string& to, std::string_view rpc_name, ProviderId provider,
-        std::string payload, std::chrono::milliseconds deadline = std::chrono::milliseconds{0},
-        const qos::QosTag& tag = {});
-
-    /// Asynchronous chain-payload RPC (zero-copy fast path).
+    /// Asynchronous RPC: returns an eventual delivering the response chain
+    /// or a status (zero-copy fast path).
     std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> call_async_chain(
         const std::string& to, std::string_view rpc_name, ProviderId provider,
         hep::BufferChain payload,
         std::chrono::milliseconds deadline = std::chrono::milliseconds{0},
         const qos::QosTag& tag = {});
 
-    /// Default per-RPC deadline applied when call()/call_async() is given a
+    /// Default per-RPC deadline applied when a call is given a
     /// zero deadline. Zero (the default) disables deadline tracking.
     void set_default_deadline(std::chrono::milliseconds deadline) noexcept {
         default_deadline_ms_.store(deadline.count(), std::memory_order_relaxed);
@@ -283,20 +277,14 @@ class Endpoint {
     // dispatch starts after it returns.
     std::atomic<std::uint32_t> deliveries_in_flight_{0};
 
-    // Outstanding calls. Exactly one of the two eventuals is armed per call:
-    // the chain one for call_*_chain() callers, the string one for the
-    // compatibility shims (the response is flattened at completion).
+    // Outstanding calls, each with the one eventual its caller waits on.
     struct PendingCall {
-        std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> chain_eventual;
-        std::shared_ptr<abt::Eventual<Result<std::string>>> string_eventual;
+        std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> eventual;
         std::chrono::steady_clock::time_point deadline =
             std::chrono::steady_clock::time_point::max();  // max() = none
         std::string describe;  // "rpc 'x' to addr" for errors
 
-        void fail(Status st) {
-            if (chain_eventual) chain_eventual->set(std::move(st));
-            else string_eventual->set(std::move(st));
-        }
+        void fail(Status st) { eventual->set(std::move(st)); }
     };
     std::mutex pending_mutex_;
     std::unordered_map<std::uint64_t, PendingCall> pending_;

@@ -1,73 +1,6 @@
 #include "symbio/metrics.hpp"
 
-#include <chrono>
-#include <cmath>
-
 namespace hep::symbio {
-
-void Histogram::observe(double value) noexcept {
-    std::size_t bucket = 0;
-    if (value >= 2.0) {
-        bucket = static_cast<std::size_t>(std::log2(value));
-        if (bucket >= kBuckets) bucket = kBuckets - 1;
-    }
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    // Relaxed FP accumulation: racy updates may drop a sample's worth of sum,
-    // which is acceptable for monitoring.
-    double expected = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(expected, expected + value,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-double Histogram::quantile_upper_bound(double q) const noexcept {
-    const std::uint64_t total = count();
-    if (total == 0) return 0;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        seen += buckets_[i].load(std::memory_order_relaxed);
-        if (seen > target) return std::pow(2.0, static_cast<double>(i + 1));
-    }
-    return std::pow(2.0, static_cast<double>(kBuckets));
-}
-
-json::Value Histogram::to_json() const {
-    json::Value out = json::Value::make_object();
-    out["count"] = count();
-    out["sum"] = sum();
-    out["mean"] = mean();
-    out["p50_ub"] = quantile_upper_bound(0.50);
-    out["p99_ub"] = quantile_upper_bound(0.99);
-    json::Value buckets = json::Value::make_array();
-    for (const auto& b : buckets_) {
-        buckets.push_back(b.load(std::memory_order_relaxed));
-    }
-    out["buckets"] = std::move(buckets);
-    return out;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<Counter>();
-    return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = gauges_[name];
-    if (!slot) slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<Histogram>();
-    return *slot;
-}
 
 void MetricsRegistry::add_source(const std::string& name, std::function<json::Value()> fn) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -77,15 +10,6 @@ void MetricsRegistry::add_source(const std::string& name, std::function<json::Va
 json::Value MetricsRegistry::snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     json::Value out = json::Value::make_object();
-    json::Value counters = json::Value::make_object();
-    for (const auto& [name, c] : counters_) counters[name] = c->value();
-    out["counters"] = std::move(counters);
-    json::Value gauges = json::Value::make_object();
-    for (const auto& [name, g] : gauges_) gauges[name] = g->value();
-    out["gauges"] = std::move(gauges);
-    json::Value hists = json::Value::make_object();
-    for (const auto& [name, h] : histograms_) hists[name] = h->to_json();
-    out["histograms"] = std::move(hists);
     json::Value sources = json::Value::make_object();
     for (const auto& [name, fn] : sources_) sources[name] = fn();
     out["sources"] = std::move(sources);
@@ -105,19 +29,6 @@ std::vector<std::string> MetricsRegistry::source_names() const {
     names.reserve(sources_.size());
     for (const auto& [name, fn] : sources_) names.push_back(name);
     return names;
-}
-
-ScopedTimer::ScopedTimer(Histogram& hist)
-    : hist_(hist),
-      start_(std::chrono::duration<double>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count()) {}
-
-ScopedTimer::~ScopedTimer() {
-    const double now = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count();
-    hist_.observe((now - start_) * 1e6);  // microseconds: log2 buckets useful
 }
 
 }  // namespace hep::symbio

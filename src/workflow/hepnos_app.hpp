@@ -19,8 +19,8 @@ namespace hep::workflow {
 
 struct HepnosAppOptions {
     std::size_t num_ranks = 4;
-    nova::SelectionCuts cuts;
-    hepnos::ParallelEventProcessorOptions pep;
+    nova::SelectionCuts cuts{};
+    hepnos::ParallelEventProcessorOptions pep{};
     bool prefetch_products = true;  // use the PEP product-prefetch path
     /// Write the selection outcome back as a per-event product (paper §II-A:
     /// applications "load products from HEPnOS ..., performing some analysis,

@@ -75,7 +75,7 @@ struct Ack {
 struct KeyReq {
     std::string db;
     std::string key;
-    ReadPin pin;  // optional snapshot pin (seq 0 = latest)
+    ReadPin pin{};  // optional snapshot pin (seq 0 = latest)
     template <typename A>
     void serialize(A& ar, unsigned) {
         ar & db & key & pin;
@@ -115,7 +115,7 @@ struct ListReq {
     std::string prefix;  // restrict to keys with this prefix
     std::uint64_t max = 128;
     bool with_values = false;
-    ReadPin pin;  // optional snapshot pin (seq 0 = latest)
+    ReadPin pin{};  // optional snapshot pin (seq 0 = latest)
     template <typename A>
     void serialize(A& ar, unsigned) {
         ar & db & after & prefix & max & with_values & pin;
@@ -230,7 +230,7 @@ struct GetMultiReq {
     std::string db;
     std::vector<std::string> keys;
     rpc::BulkRef dest;
-    ReadPin pin;  // optional snapshot pin (seq 0 = latest)
+    ReadPin pin{};  // optional snapshot pin (seq 0 = latest)
     template <typename A>
     void serialize(A& ar, unsigned) {
         ar & db & keys & dest & pin;

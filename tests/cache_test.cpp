@@ -777,9 +777,16 @@ TEST_F(CacheServiceTest, ReadThroughFillThenHitSkipsTheWire) {
     EXPECT_GT(cache->counters().hits, after_first.hits);
     EXPECT_GT(cache->hit_latency().count(), 0u);
 
-    // The client metrics registry exposes the same counters.
+    // The client metrics registry exposes the same counters, and latencies
+    // recorded in ns: a sub-µs hit no longer reads as a whole log2 bucket.
     auto snap = store_.impl()->metrics().snapshot();
-    EXPECT_GE(snap["sources"]["cache/client"]["fills"].as_int(), 1);
+    const json::Value& client = snap["sources"]["cache/client"];
+    EXPECT_GE(client["fills"].as_int(), 1);
+    EXPECT_EQ(client["hit_latency"]["count"].as_int(),
+              static_cast<std::int64_t>(cache->hit_latency().count()));
+    EXPECT_GT(client["miss_latency"]["p50_us"].as_double(), 0.0);
+    EXPECT_LE(client["hit_latency"]["p50_us"].as_double(),
+              client["hit_latency"]["max_us"].as_double() * 1.03);
 }
 
 TEST_F(CacheServiceTest, ReadAfterWriteNeverStale) {

@@ -18,6 +18,7 @@
 #include "query/client.hpp"
 #include "query/evaluator.hpp"
 #include "query/provider.hpp"
+#include "scratch_dir.hpp"
 #include "serial/archive.hpp"
 #include "test_service.hpp"
 #include "workflow/hepnos_app.hpp"
@@ -505,7 +506,7 @@ TEST(ColumnarServiceTest, CursorLossAtChunkBoundariesLosesNothing) {
 
 TEST(ColumnarServiceTest, MatchesBlobOnLsmBackend) {
     nova::Generator gen({.num_files = 4, .events_per_file = 15});
-    const auto dir = fs::temp_directory_path() / "columnar_lsm";
+    const auto dir = test_util::scratch_path("columnar_lsm");
     fs::remove_all(dir);
     fs::create_directories(dir);
     test_util::TestServiceOptions opts{.num_servers = 1, .backend = "lsm",

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
 #include "common/hash.hpp"
+#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -224,6 +226,106 @@ TEST(HashRingTest, SingleTargetGetsEverything) {
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(ring.lookup(std::to_string(i)), 0u);
     }
+}
+
+// ------------------------------------------------------------- Histogram ---
+
+TEST(HistogramTest, QuantilesNeverUnderReport) {
+    Histogram h;
+    for (std::uint64_t v = 1; v <= 10000; ++v) h.record(v);
+    EXPECT_EQ(h.count(), 10000u);
+    // Upper-bucket-edge quantiles: always >= the exact value, within ~2 * 3%
+    // relative error above it.
+    const double p50 = static_cast<double>(h.quantile(0.50));
+    const double p99 = static_cast<double>(h.quantile(0.99));
+    EXPECT_GE(p50, 5000.0);
+    EXPECT_LE(p50, 5000.0 * 1.07);
+    EXPECT_GE(p99, 9900.0);
+    EXPECT_LE(p99, 9900.0 * 1.07);
+    EXPECT_EQ(h.max(), 10000u);
+    EXPECT_EQ(h.min(), 1u);
+}
+
+TEST(HistogramTest, ValuesBelowThirtyTwoAreExact) {
+    for (std::uint64_t v = 0; v < Histogram::kSub; ++v) {
+        Histogram h;
+        h.record(v);
+        EXPECT_EQ(h.quantile(0.0), v);
+        EXPECT_EQ(h.quantile(1.0), v);
+    }
+    Histogram h;
+    for (std::uint64_t v = 0; v < Histogram::kSub; ++v) h.record(v);
+    EXPECT_EQ(h.quantile(0.5), 16u);
+    EXPECT_EQ(h.sum(), 31u * 32u / 2u);
+    EXPECT_DOUBLE_EQ(h.mean(), 15.5);
+}
+
+TEST(HistogramTest, ClampedValueReportsMax) {
+    // Past the top segment every value shares the top bucket; its quantiles
+    // report the true maximum, not the bucket's edge below it.
+    Histogram h;
+    const std::uint64_t huge = std::uint64_t{1} << 45;
+    h.record(10);
+    h.record(huge);
+    EXPECT_EQ(h.max(), huge);
+    EXPECT_EQ(h.quantile(1.0), huge);
+    EXPECT_EQ(h.quantile(0.0), 10u);
+    EXPECT_EQ(h.to_json()["p999"].as_double(), static_cast<double>(huge));
+}
+
+TEST(HistogramTest, MergeEqualsOneHistogramOfBothInputs) {
+    Histogram a, b, both;
+    Rng rng(7);
+    for (int i = 0; i < 5000; ++i) {
+        const std::uint64_t v = rng.next_u64() >> (20 + i % 40);
+        (i % 3 ? a : b).record(v);
+        both.record(v);
+    }
+    a.merge(b);
+    EXPECT_EQ(a.count(), both.count());
+    EXPECT_EQ(a.sum(), both.sum());
+    EXPECT_EQ(a.min(), both.min());
+    EXPECT_EQ(a.max(), both.max());
+    for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+        EXPECT_EQ(a.quantile(q), both.quantile(q)) << q;
+    }
+    EXPECT_EQ(a.to_json("_us", 1e3), both.to_json("_us", 1e3));
+}
+
+TEST(HistogramTest, CopyIsASnapshot) {
+    Histogram h;
+    h.record(100);
+    const Histogram snap = h;
+    h.record(5000);
+    EXPECT_EQ(snap.count(), 1u);
+    EXPECT_EQ(snap.max(), 100u);
+    EXPECT_EQ(h.count(), 2u);
+
+    Histogram assigned;
+    assigned.record(1);
+    assigned = snap;
+    EXPECT_EQ(assigned.count(), 1u);
+    EXPECT_EQ(assigned.min(), 100u);
+    EXPECT_EQ(assigned.quantile(0.5), snap.quantile(0.5));
+}
+
+TEST(HistogramTest, ConcurrentRecordersLoseNothing) {
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kPerThread = 20000;
+    Histogram h;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&h, t] {
+            for (std::uint64_t i = 1; i <= kPerThread; ++i) h.record(i * (t + 1));
+        });
+    }
+    for (auto& th : threads) th.join();
+    std::uint64_t want_sum = 0;
+    for (int t = 0; t < kThreads; ++t) want_sum += (t + 1) * kPerThread * (kPerThread + 1) / 2;
+    EXPECT_EQ(h.count(), kThreads * kPerThread);
+    EXPECT_EQ(h.sum(), want_sum);
+    EXPECT_EQ(h.min(), 1u);
+    EXPECT_EQ(h.max(), kThreads * kPerThread);
 }
 
 // ------------------------------------------------------------------ Uuid ---

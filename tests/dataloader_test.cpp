@@ -9,6 +9,7 @@
 
 #include "dataloader/loader.hpp"
 #include "dataloader/schema_gen.hpp"
+#include "scratch_dir.hpp"
 #include "test_service.hpp"
 
 namespace fs = std::filesystem;
@@ -69,7 +70,7 @@ TEST(SchemaGenTest, GenerateAllCoversEveryGroup) {
 
 TEST(SchemaGenTest, WorksOnRealGeneratorOutput) {
     nova::Generator g({.num_files = 1, .events_per_file = 5});
-    const std::string path = (fs::temp_directory_path() / "gen_schema.htf").string();
+    const std::string path = test_util::scratch_path("gen_schema.htf").string();
     ASSERT_TRUE(g.write_htf_file(0, path).ok());
     auto schema = htf::File::read_schema(path);
     ASSERT_TRUE(schema.ok());
@@ -86,7 +87,7 @@ TEST(SchemaGenTest, GeneratedCodeActuallyCompiles) {
         GTEST_SKIP() << "no c++ compiler available";
     }
     nova::Generator g({.num_files = 1, .events_per_file = 3});
-    const auto dir = fs::temp_directory_path() / "codegen_compile";
+    const auto dir = test_util::scratch_path("codegen_compile");
     fs::create_directories(dir);
     const std::string htf_path = (dir / "sample.htf").string();
     ASSERT_TRUE(g.write_htf_file(0, htf_path).ok());
@@ -182,7 +183,7 @@ TEST_F(LoaderTest, IngestFromHtfFilesMatchesGenerated) {
     nova::Generator generator(cfg);
 
     // Materialize the dataset as HTF files, then ingest from disk.
-    const auto dir = fs::temp_directory_path() / "loader_htf";
+    const auto dir = test_util::scratch_path("loader_htf");
     fs::create_directories(dir);
     std::vector<std::string> files;
     for (std::uint64_t f = 0; f < cfg.num_files; ++f) {

@@ -8,6 +8,7 @@
 
 #include "dataloader/loader.hpp"
 #include "hepnos/hepnos.hpp"
+#include "scratch_dir.hpp"
 #include "test_service.hpp"
 #include "workflow/hepnos_app.hpp"
 
@@ -124,7 +125,7 @@ TEST(FailureTest, LsmServiceSurvivesRestart) {
     // Crash/restart persistence: boot an LSM-backed service, ingest, shut it
     // down, boot a NEW service process over the same directories, and verify
     // the data is all there (WAL + manifest recovery end to end).
-    const auto dir = fs::temp_directory_path() / "failure_restart";
+    const auto dir = test_util::scratch_path("failure_restart");
     fs::remove_all(dir);
     fs::create_directories(dir);
     nova::Generator generator({.num_files = 3, .events_per_file = 20});
@@ -220,7 +221,7 @@ TEST(FailureTest, LsmReplicaCatchesUpAfterWipe) {
     // hosted by server-1 (its "backup disk" dies), reboot the service over
     // the same directories, and verify the probe pass during reconnection
     // streams the surviving primaries' data back into the recreated backups.
-    const auto dir = fs::temp_directory_path() / "replica_wipe";
+    const auto dir = test_util::scratch_path("replica_wipe");
     fs::remove_all(dir);
     fs::create_directories(dir);
     test_util::TestServiceOptions opts{2, 2, "lsm", dir.string()};

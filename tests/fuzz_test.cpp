@@ -21,6 +21,7 @@
 #include "query/evaluator.hpp"
 #include "query/protocol.hpp"
 #include "query/provider.hpp"
+#include "scratch_dir.hpp"
 #include "serial/archive.hpp"
 #include "yokan/lsm/block.hpp"
 #include "yokan/lsm/memtable.hpp"
@@ -245,7 +246,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzzTest, ::testing::Values(5, 55, 555));
 // --------------------------------------------------------------------- WAL
 
 TEST(WalFuzzTest, CorruptOrTornLogsReplayAnExactPrefix) {
-    const auto dir = fs::temp_directory_path() / "wal_fuzz";
+    const auto dir = test_util::scratch_path("wal_fuzz");
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string path = (dir / "wal.000001.log").string();
@@ -371,7 +372,7 @@ TEST(LsmInternalsFuzzTest, SstReaderRejectsHostileRecordsWithoutOverReading) {
     // is mutated and its crc32 recomputed, so every read reaches the record
     // decoder. Each get and scan either succeeds or reports Corruption; the
     // asan preset checks that none reads past the block.
-    const auto dir = fs::temp_directory_path() / "sst_fuzz";
+    const auto dir = test_util::scratch_path("sst_fuzz");
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string path = (dir / "t.sst").string();
@@ -435,7 +436,7 @@ TEST(LsmInternalsFuzzTest, SstReaderRejectsHostileRecordsWithoutOverReading) {
 }
 
 TEST(LsmInternalsFuzzTest, VersionSetRecoverNeverCrashesOnGarbageManifests) {
-    const auto dir = fs::temp_directory_path() / "vset_fuzz";
+    const auto dir = test_util::scratch_path("vset_fuzz");
     Rng rng(777);
     for (int round = 0; round < 40; ++round) {
         fs::remove_all(dir);
@@ -466,7 +467,7 @@ TEST(LsmInternalsFuzzTest, VersionSetRecoverNeverCrashesOnGarbageManifests) {
 // --------------------------------------------------------------------- HTF
 
 TEST(HtfFuzzTest, RandomAndTruncatedFilesRejectedCleanly) {
-    const auto dir = fs::temp_directory_path() / "htf_fuzz";
+    const auto dir = test_util::scratch_path("htf_fuzz");
     fs::remove_all(dir);
     fs::create_directories(dir);
     Rng rng(31337);

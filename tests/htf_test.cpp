@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "htf/htf.hpp"
+#include "scratch_dir.hpp"
 
 namespace fs = std::filesystem;
 
@@ -14,7 +15,7 @@ using namespace hep;
 using namespace hep::htf;
 
 std::string temp_path(const std::string& name) {
-    return (fs::temp_directory_path() / ("htf_test_" + name)).string();
+    return test_util::scratch_path("htf_test_" + name).string();
 }
 
 TEST(HtfGroupTest, ColumnsMustHaveEqualLength) {

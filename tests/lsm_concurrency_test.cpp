@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "scratch_dir.hpp"
 #include "yokan/lsm/lsm_db.hpp"
 
 namespace fs = std::filesystem;
@@ -23,7 +24,7 @@ using namespace hep::yokan;
 using namespace std::chrono_literals;
 
 std::string temp_dir(const std::string& tag) {
-    auto path = fs::temp_directory_path() / ("lsm_conc_test_" + tag);
+    auto path = test_util::scratch_path("lsm_conc_test_" + tag);
     fs::remove_all(path);
     fs::create_directories(path);
     return path.string();

@@ -17,6 +17,7 @@
 
 #include "common/compression.hpp"
 #include "common/crc32.hpp"
+#include "scratch_dir.hpp"
 #include "yokan/lsm/arena.hpp"
 #include "yokan/lsm/block.hpp"
 #include "yokan/lsm/lsm_db.hpp"
@@ -34,7 +35,7 @@ using namespace hep::yokan;
 using namespace hep::yokan::lsm;
 
 std::string temp_dir(const std::string& tag) {
-    auto path = fs::temp_directory_path() / ("lsm_internals_" + tag);
+    auto path = test_util::scratch_path("lsm_internals_" + tag);
     fs::remove_all(path);
     fs::create_directories(path);
     return path.string();
@@ -1432,7 +1433,7 @@ std::vector<Op> torture_workload() {
                            "over-" + std::to_string(i)});
         }
         if (i % 7 == 5) {  // erase a key that exists
-            ops.push_back({Op::kErase, "key" + std::to_string(100 + i - 1)});
+            ops.push_back({Op::kErase, "key" + std::to_string(100 + i - 1), ""});
         }
         if (i % 4 == 1) {  // epoch-staged product write
             ops.push_back({Op::kPutEpoch, "staged" + std::to_string(i),

@@ -199,7 +199,7 @@ TEST_F(MargoTest, RpcCompletesWhileServerProgressThreadIsBusy) {
         gate.wait();
         ctx.respond("released");
     });
-    auto held = client.endpoint().call_async("server", "hold", 0, "");
+    auto held = client.endpoint().call_async_chain("server", "hold", 0, {});
     entered.get_future().wait();
     const auto t0 = std::chrono::steady_clock::now();
     auto r = client.forward<int, int>("server", "inc", 0, 41, std::chrono::milliseconds(1000));

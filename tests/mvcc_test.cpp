@@ -15,6 +15,7 @@
 #include "query/client.hpp"
 #include "query/evaluator.hpp"
 #include "query/provider.hpp"
+#include "scratch_dir.hpp"
 #include "test_service.hpp"
 #include "workflow/hepnos_app.hpp"
 #include "yokan/backend.hpp"
@@ -122,7 +123,7 @@ TEST(MvccBackendTest, SnapshotAndEpochVisibilityOnMap) {
 }
 
 TEST(MvccBackendTest, SnapshotAndEpochVisibilityOnLsm) {
-    const auto dir = fs::temp_directory_path() / "mvcc_lsm_unit";
+    const auto dir = test_util::scratch_path("mvcc_lsm_unit");
     fs::remove_all(dir);
     fs::create_directories(dir);
     auto db = yokan::create_database(*json::parse(R"({"type": "lsm", "path": "db"})"),
@@ -133,7 +134,7 @@ TEST(MvccBackendTest, SnapshotAndEpochVisibilityOnLsm) {
 }
 
 TEST(MvccBackendTest, LsmRecoveryRestoresStampsAndEpochs) {
-    const auto dir = fs::temp_directory_path() / "mvcc_lsm_recover";
+    const auto dir = test_util::scratch_path("mvcc_lsm_recover");
     fs::remove_all(dir);
     fs::create_directories(dir);
     const auto cfg = *json::parse(R"({"type": "lsm", "path": "db"})");
@@ -287,7 +288,7 @@ TEST(MvccServiceTest, SnapshotPinnedSelectionBitIdenticalUnderConcurrentIngest) 
 
 TEST(MvccServiceTest, SnapshotPinnedSelectionOnLsmBackend) {
     auto gen = nova::Generator({.num_files = 4, .events_per_file = 15});
-    const auto dir = fs::temp_directory_path() / "mvcc_lsm_service";
+    const auto dir = test_util::scratch_path("mvcc_lsm_service");
     fs::remove_all(dir);
     fs::create_directories(dir);
     test_util::TestService service(test_util::TestServiceOptions{

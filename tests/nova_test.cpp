@@ -5,6 +5,7 @@
 
 #include "nova/generator.hpp"
 #include "nova/selection.hpp"
+#include "scratch_dir.hpp"
 
 namespace fs = std::filesystem;
 
@@ -82,7 +83,7 @@ TEST(GeneratorTest, HtfRoundTripPreservesEvents) {
     cfg.num_files = 2;
     cfg.events_per_file = 20;
     Generator g(cfg);
-    const std::string path = (fs::temp_directory_path() / "nova_rt.htf").string();
+    const std::string path = test_util::scratch_path("nova_rt.htf").string();
     ASSERT_TRUE(g.write_htf_file(1, path).ok());
     auto loaded = Generator::read_htf_file(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();

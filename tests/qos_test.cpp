@@ -168,7 +168,7 @@ TEST(AdmissionTest, AdmitHappyPathTracksInflight) {
     EXPECT_EQ(ctrl.inflight(), 1u);
     EXPECT_EQ(ctrl.admitted(), 1u);
     EXPECT_EQ(ctrl.on_start(1, qos::kClassInteractive, 0, now, now), qos::StartVerdict::kRun);
-    ctrl.on_complete(qos::kClassInteractive, 50.0);
+    ctrl.on_complete(qos::kClassInteractive, std::chrono::microseconds(50));
     EXPECT_EQ(ctrl.inflight(), 0u);
 }
 
@@ -278,11 +278,21 @@ TEST(AdmissionTest, StatsJsonCarriesCountersAndHistograms) {
     const auto now = Clock::now();
     ASSERT_TRUE(ctrl.admit(7, "t", qos::kClassInteractive, 0, now).ok());
     EXPECT_EQ(ctrl.on_start(7, qos::kClassInteractive, 0, now, now), qos::StartVerdict::kRun);
-    ctrl.on_complete(qos::kClassInteractive, 123.0);
+    ctrl.on_complete(qos::kClassInteractive, std::chrono::microseconds(123));
     json::Value stats = ctrl.stats_json(7);
     EXPECT_EQ(stats["admitted"].as_int(), 1);
     EXPECT_EQ(stats["inflight"].as_int(), 0);
-    EXPECT_TRUE(stats["classes"].is_object() || stats["classes"].is_array());
+    // Recorded in ns, exported in µs: the quantiles sit within ~3% above the
+    // sample instead of at its log2 bucket's bound.
+    const json::Value& cls = stats["classes"]["interactive"];
+    EXPECT_EQ(cls["queue_delay"]["count"].as_int(), 1);
+    const json::Value& exec = cls["exec_time"];
+    EXPECT_EQ(exec["count"].as_int(), 1);
+    EXPECT_DOUBLE_EQ(exec["mean_us"].as_double(), 123.0);
+    for (const char* key : {"p50_us", "p99_us"}) {
+        EXPECT_GE(exec[key].as_double(), 123.0) << key;
+        EXPECT_LE(exec[key].as_double(), 123.0 * 1.03) << key;
+    }
 }
 
 // ---------------------------------------------------------- QosPolicy json

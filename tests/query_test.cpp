@@ -11,6 +11,7 @@
 #include "query/client.hpp"
 #include "query/evaluator.hpp"
 #include "query/provider.hpp"
+#include "scratch_dir.hpp"
 #include "test_service.hpp"
 #include "workflow/hepnos_app.hpp"
 #include "workflow/traditional.hpp"
@@ -146,7 +147,7 @@ TEST(QueryPushdownTest, MatchesPepSelectionBitForBit) {
 
 TEST(QueryPushdownTest, MatchesPepOnLsmBackend) {
     auto gen = nova::Generator({.num_files = 4, .events_per_file = 15});
-    const auto dir = fs::temp_directory_path() / "query_lsm";
+    const auto dir = test_util::scratch_path("query_lsm");
     fs::remove_all(dir);
     fs::create_directories(dir);
     test_util::TestService service(test_util::TestServiceOptions{

@@ -21,6 +21,13 @@ namespace {
 using namespace hep;
 using namespace hep::rpc;
 
+/// A one-segment request payload owning `bytes`.
+BufferChain chain_of(std::string bytes) {
+    BufferChain chain;
+    chain.append(Buffer::adopt(std::move(bytes)));
+    return chain;
+}
+
 TEST(RpcIdTest, StableAndDistinct) {
     EXPECT_EQ(rpc_id_of("yokan_put"), rpc_id_of("yokan_put"));
     EXPECT_NE(rpc_id_of("yokan_put"), rpc_id_of("yokan_get"));
@@ -150,14 +157,14 @@ TEST_F(RpcTest, AsyncCallsOverlap) {
     auto server = net.create_endpoint("server");
     auto client = net.create_endpoint("client");
     server->register_handler("id", 0, [](RequestContext& ctx) { ctx.respond(ctx.payload()); });
-    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> futs;
+    std::vector<std::shared_ptr<abt::Eventual<Result<BufferChain>>>> futs;
     for (int i = 0; i < 32; ++i) {
-        futs.push_back(client->call_async("server", "id", 0, std::to_string(i)));
+        futs.push_back(client->call_async_chain("server", "id", 0, chain_of(std::to_string(i))));
     }
     for (int i = 0; i < 32; ++i) {
         auto& r = futs[i]->wait();
         ASSERT_TRUE(r.ok());
-        EXPECT_EQ(*r, std::to_string(i));
+        EXPECT_EQ(r->flatten(), std::to_string(i));
     }
 }
 
@@ -274,7 +281,7 @@ TEST_F(RpcTest, ResponseCompletesWhileClientProgressThreadIsBusy) {
         gate.wait();
         ctx.respond("released");
     });
-    auto held = poker->call_async("client", "hold", 0, "");
+    auto held = poker->call_async_chain("client", "hold", 0, {});
     entered.get_future().wait();
     // Watchdog: if the response needed the client's progress thread, it
     // arrives only after this release and the call fails its deadline.
@@ -300,9 +307,10 @@ TEST_F(RpcTest, EarlyDeadlineExpiresAmongManyLongOnes) {
     auto server = net.create_endpoint("server");
     auto client = net.create_endpoint("client");
     server->register_handler("blackhole", 0, [](RequestContext&) { /* no respond() */ });
-    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> parked;
+    std::vector<std::shared_ptr<abt::Eventual<Result<BufferChain>>>> parked;
     for (int i = 0; i < 1000; ++i) {
-        parked.push_back(client->call_async("server", "blackhole", 0, "", milliseconds(10000)));
+        parked.push_back(
+            client->call_async_chain("server", "blackhole", 0, {}, milliseconds(10000)));
     }
     const auto t0 = Clock::now();
     auto r = client->call("server", "blackhole", 0, "", milliseconds(20));
@@ -324,13 +332,13 @@ void check_shutdown_contract(Endpoint& server, Endpoint& client, Endpoint& other
     server.register_handler("blackhole", 0, [](RequestContext&) { /* no respond() */ });
     server.register_handler("echo", 0, [](RequestContext& ctx) { ctx.respond(ctx.payload()); });
     ASSERT_TRUE(client.call(server.address(), "echo", 0, "x", milliseconds(5000)).ok());
-    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> inflight;
+    std::vector<std::shared_ptr<abt::Eventual<Result<BufferChain>>>> inflight;
     for (int i = 0; i < 8; ++i) {
         inflight.push_back(
-            client.call_async(server.address(), "blackhole", 0, "", milliseconds(5000)));
+            client.call_async_chain(server.address(), "blackhole", 0, {}, milliseconds(5000)));
     }
     client.shutdown();
-    inflight.push_back(client.call_async(server.address(), "echo", 0, "late"));
+    inflight.push_back(client.call_async_chain(server.address(), "echo", 0, chain_of("late")));
     for (const auto& call : inflight) {
         ASSERT_TRUE(call->ready());
         EXPECT_EQ(call->wait().status().code(), StatusCode::kCancelled)

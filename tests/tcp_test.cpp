@@ -163,14 +163,16 @@ TEST(TcpFabricTest, ConcurrentCallsAcrossFabrics) {
         ctx.respond(std::to_string(std::stoi(ctx.payload()) + 1));
     });
     auto client = client_fabric.create_endpoint("client");
-    std::vector<std::shared_ptr<abt::Eventual<Result<std::string>>>> futs;
+    std::vector<std::shared_ptr<abt::Eventual<Result<BufferChain>>>> futs;
     for (int i = 0; i < 64; ++i) {
-        futs.push_back(client->call_async(server->address(), "inc", 0, std::to_string(i)));
+        BufferChain payload;
+        payload.append_copy(std::to_string(i));
+        futs.push_back(client->call_async_chain(server->address(), "inc", 0, std::move(payload)));
     }
     for (int i = 0; i < 64; ++i) {
         auto& r = futs[static_cast<std::size_t>(i)]->wait();
         ASSERT_TRUE(r.ok()) << r.status().to_string();
-        EXPECT_EQ(*r, std::to_string(i + 1));
+        EXPECT_EQ(r->flatten(), std::to_string(i + 1));
     }
 }
 

@@ -22,10 +22,10 @@ struct TestServiceOptions {
     bool read_from_replicas = false;     // let reads rotate across backups
     bool monitoring = false;             // expose a symbio provider (id 99)
     bool query_pushdown = false;         // co-locate query providers (src/query)
-    json::Value qos;                     // non-null: passed through as the "qos" knob
-    json::Value cache;                   // non-null: passed through as the "cache" knob
+    json::Value qos{};                   // non-null: passed through as the "qos" knob
+    json::Value cache{};                 // non-null: passed through as the "cache" knob
     bool cache_tier = false;             // add a cache provider (id 90) per server
-    json::Value columnar;                // non-null: passed through as the "columnar" knob
+    json::Value columnar{};              // non-null: passed through as the "columnar" knob
 };
 
 /// Builds the bedrock JSON for one server.

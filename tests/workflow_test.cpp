@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "dataloader/loader.hpp"
+#include "scratch_dir.hpp"
 #include "test_service.hpp"
 #include "workflow/hepnos_app.hpp"
 #include "workflow/traditional.hpp"
@@ -52,7 +53,7 @@ TEST(TraditionalWorkflowTest, ResultIndependentOfWorkerCount) {
 
 TEST(TraditionalWorkflowTest, ReadsHtfFilesFromDisk) {
     auto gen = small_generator();
-    const auto dir = fs::temp_directory_path() / "wf_files";
+    const auto dir = test_util::scratch_path("wf_files");
     fs::create_directories(dir);
     std::vector<std::string> files;
     for (std::uint64_t f = 0; f < gen.config().num_files; ++f) {
@@ -149,7 +150,7 @@ TEST(WorkflowEquivalenceTest2, WriteBackStoresDerivedProducts) {
 TEST(WorkflowEquivalenceTest2, HoldsOnLsmBackend) {
     // The RocksDB-substitute path end to end.
     auto gen = nova::Generator({.num_files = 4, .events_per_file = 15});
-    const auto dir = fs::temp_directory_path() / "wf_lsm";
+    const auto dir = test_util::scratch_path("wf_lsm");
     fs::remove_all(dir);
     fs::create_directories(dir);
     test_util::TestService service(

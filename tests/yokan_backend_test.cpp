@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "scratch_dir.hpp"
 #include "yokan/backend.hpp"
 #include "yokan/lsm/bloom.hpp"
 #include "yokan/lsm/lsm_db.hpp"
@@ -27,7 +28,7 @@ using namespace hep;
 using namespace hep::yokan;
 
 std::string temp_dir(const std::string& tag) {
-    auto path = fs::temp_directory_path() / ("yokan_test_" + tag);
+    auto path = test_util::scratch_path("yokan_test_" + tag);
     fs::remove_all(path);
     fs::create_directories(path);
     return path.string();

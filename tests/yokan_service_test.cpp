@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "scratch_dir.hpp"
 #include "yokan/client.hpp"
 #include "yokan/provider.hpp"
 
@@ -349,7 +350,7 @@ TEST_F(YokanServiceTest, ListCursorResumeSurvivesConcurrentMutation) {
 }
 
 TEST_F(YokanServiceTest, LsmBackedProviderOverRpc) {
-    const auto dir = fs::temp_directory_path() / "yokan_service_lsm";
+    const auto dir = test_util::scratch_path("yokan_service_lsm");
     fs::remove_all(dir);
     auto cfg = json::parse(R"({"databases": [{"name": "persist", "type": "lsm",
                                               "path": "db0", "memtable_bytes": 1024}]})");
